@@ -11,7 +11,6 @@
 
 #include <chrono>
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -24,6 +23,7 @@
 #include "cluster/cluster_client.h"
 #include "core/dvms.h"
 #include "core/session.h"
+#include "json_line.h"
 
 namespace {
 
@@ -88,19 +88,6 @@ std::unique_ptr<Dvms> MakePrimary(const std::string& dir, int rows) {
     (void)engine->Insert("Sales", std::move(batch));
   }
   return engine;
-}
-
-void AppendJsonLine(const char* fmt, ...) {
-  const char* path = std::getenv("DVMS_BENCH_JSON");
-  if (path == nullptr || path[0] == '\0') return;
-  std::FILE* f = std::fopen(path, "a");
-  if (f == nullptr) return;
-  va_list args;
-  va_start(args, fmt);
-  std::vfprintf(f, fmt, args);
-  va_end(args);
-  std::fputc('\n', f);
-  std::fclose(f);
 }
 
 constexpr const char* kReadSql =

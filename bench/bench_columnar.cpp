@@ -17,6 +17,7 @@
 #include "benchmark/benchmark.h"
 #include "common/thread_pool.h"
 #include "durability/codec.h"
+#include "json_line.h"
 #include "parser/parser.h"
 #include "parser/planner.h"
 #include "query/binder.h"
@@ -34,36 +35,25 @@ double MsSince(Clock::time_point start) {
       .count();
 }
 
-/// Appends one JSON object line to the file named by DVMS_BENCH_JSON (if
-/// set); ci.sh collects these lines into BENCH_columnar.json.
+/// BENCH_columnar.json lines (see json_line.h).
 void AppendBenchJson(const char* bench, double row_ms, double vec_ms,
                      bool identical, bool pass) {
-  const char* path = std::getenv("DVMS_BENCH_JSON");
-  if (path == nullptr || path[0] == '\0') return;
-  std::FILE* f = std::fopen(path, "a");
-  if (f == nullptr) return;
-  std::fprintf(f,
-               "{\"bench\": \"%s\", \"row_ms\": %.4f, \"vec_ms\": %.4f, "
-               "\"speedup\": %.2f, \"identical\": %s, \"pass\": %s}\n",
-               bench, row_ms, vec_ms, row_ms / vec_ms,
-               identical ? "true" : "false", pass ? "true" : "false");
-  std::fclose(f);
+  AppendJsonLine(
+      "{\"bench\": \"%s\", \"row_ms\": %.4f, \"vec_ms\": %.4f, "
+      "\"speedup\": %.2f, \"identical\": %s, \"pass\": %s}",
+      bench, row_ms, vec_ms, row_ms / vec_ms, identical ? "true" : "false",
+      pass ? "true" : "false");
 }
 
 void AppendSnapshotJson(size_t columnar_bytes, size_t legacy_bytes,
                         bool pass) {
-  const char* path = std::getenv("DVMS_BENCH_JSON");
-  if (path == nullptr || path[0] == '\0') return;
-  std::FILE* f = std::fopen(path, "a");
-  if (f == nullptr) return;
-  std::fprintf(f,
-               "{\"bench\": \"snapshot_size\", \"columnar_bytes\": %zu, "
-               "\"legacy_bytes\": %zu, \"reduction\": %.2f, \"pass\": %s}\n",
-               columnar_bytes, legacy_bytes,
-               1.0 - static_cast<double>(columnar_bytes) /
-                         static_cast<double>(legacy_bytes),
-               pass ? "true" : "false");
-  std::fclose(f);
+  AppendJsonLine(
+      "{\"bench\": \"snapshot_size\", \"columnar_bytes\": %zu, "
+      "\"legacy_bytes\": %zu, \"reduction\": %.2f, \"pass\": %s}",
+      columnar_bytes, legacy_bytes,
+      1.0 - static_cast<double>(columnar_bytes) /
+                static_cast<double>(legacy_bytes),
+      pass ? "true" : "false");
 }
 
 bool TablesEqual(const std::vector<Table>& a, const std::vector<Table>& b) {

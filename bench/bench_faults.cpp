@@ -6,7 +6,6 @@
 // per-op retry.
 
 #include <chrono>
-#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -16,6 +15,7 @@
 #include "common/fault.h"
 #include "common/rng.h"
 #include "core/dvms.h"
+#include "json_line.h"
 
 namespace {
 
@@ -80,19 +80,6 @@ double DriveWorkloadMs(Dvms* engine, int64_t t_base) {
                  Value::Double(50)}});
   return std::chrono::duration<double, std::milli>(Clock::now() - t0)
       .count();
-}
-
-void AppendJsonLine(const char* fmt, ...) {
-  const char* path = std::getenv("DVMS_BENCH_JSON");
-  if (path == nullptr || path[0] == '\0') return;
-  std::FILE* f = std::fopen(path, "a");
-  if (f == nullptr) return;
-  va_list args;
-  va_start(args, fmt);
-  std::vfprintf(f, fmt, args);
-  va_end(args);
-  std::fputc('\n', f);
-  std::fclose(f);
 }
 
 /// Undo-log overhead on the fault-free path: the transactional engine must

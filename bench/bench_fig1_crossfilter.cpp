@@ -17,6 +17,7 @@
 #include "benchmark/benchmark.h"
 #include "common/thread_pool.h"
 #include "expr/eval.h"
+#include "json_line.h"
 #include "parser/parser.h"
 #include "parser/planner.h"
 #include "query/binder.h"
@@ -138,21 +139,14 @@ void PrintFigure1() {
   std::printf("\n");
 }
 
-/// Appends one JSON object line to the file named by DVMS_BENCH_JSON (if
-/// set); ci.sh collects these lines into BENCH_parallel.json.
+/// One BENCH_parallel.json line (see json_line.h).
 void AppendBenchJson(const char* bench, double serial_ms, double parallel_ms,
                      bool identical) {
-  const char* path = std::getenv("DVMS_BENCH_JSON");
-  if (path == nullptr || path[0] == '\0') return;
-  std::FILE* f = std::fopen(path, "a");
-  if (f == nullptr) return;
-  std::fprintf(f,
-               "{\"bench\": \"%s\", \"threads\": 4, \"serial_ms\": %.4f, "
-               "\"parallel_ms\": %.4f, \"speedup\": %.2f, "
-               "\"identical\": %s}\n",
-               bench, serial_ms, parallel_ms, serial_ms / parallel_ms,
-               identical ? "true" : "false");
-  std::fclose(f);
+  AppendJsonLine(
+      "{\"bench\": \"%s\", \"threads\": 4, \"serial_ms\": %.4f, "
+      "\"parallel_ms\": %.4f, \"speedup\": %.2f, \"identical\": %s}",
+      bench, serial_ms, parallel_ms, serial_ms / parallel_ms,
+      identical ? "true" : "false");
 }
 
 /// Morsel-driven executor, serial vs 4 threads, over the Figure 1 charts

@@ -10,6 +10,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/dvms.h"
+#include "json_line.h"
 
 namespace {
 
@@ -119,21 +120,14 @@ void PrintFigure2() {
   std::printf("\n");
 }
 
-/// Appends one JSON object line to the file named by DVMS_BENCH_JSON (if
-/// set); ci.sh collects these lines into BENCH_parallel.json.
+/// One BENCH_parallel.json line (see json_line.h).
 void AppendBenchJson(const char* bench, double serial_ms, double parallel_ms,
                      bool identical) {
-  const char* path = std::getenv("DVMS_BENCH_JSON");
-  if (path == nullptr || path[0] == '\0') return;
-  std::FILE* f = std::fopen(path, "a");
-  if (f == nullptr) return;
-  std::fprintf(f,
-               "{\"bench\": \"%s\", \"threads\": 4, \"serial_ms\": %.4f, "
-               "\"parallel_ms\": %.4f, \"speedup\": %.2f, "
-               "\"identical\": %s}\n",
-               bench, serial_ms, parallel_ms, serial_ms / parallel_ms,
-               identical ? "true" : "false");
-  std::fclose(f);
+  AppendJsonLine(
+      "{\"bench\": \"%s\", \"threads\": 4, \"serial_ms\": %.4f, "
+      "\"parallel_ms\": %.4f, \"speedup\": %.2f, \"identical\": %s}",
+      bench, serial_ms, parallel_ms, serial_ms / parallel_ms,
+      identical ? "true" : "false");
 }
 
 /// The same 20-move drag through two engines: fully serial vs a dedicated

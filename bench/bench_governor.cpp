@@ -8,7 +8,6 @@
 // engine state is bit-identical to the pre-abort state each time.
 
 #include <chrono>
-#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -19,6 +18,7 @@
 #include "benchmark/benchmark.h"
 #include "common/rng.h"
 #include "core/dvms.h"
+#include "json_line.h"
 
 namespace {
 
@@ -83,19 +83,6 @@ double DriveWorkloadMs(Dvms* engine, int64_t t_base) {
                  Value::Double(50)}});
   return std::chrono::duration<double, std::milli>(Clock::now() - t0)
       .count();
-}
-
-void AppendJsonLine(const char* fmt, ...) {
-  const char* path = std::getenv("DVMS_BENCH_JSON");
-  if (path == nullptr || path[0] == '\0') return;
-  std::FILE* f = std::fopen(path, "a");
-  if (f == nullptr) return;
-  va_list args;
-  va_start(args, fmt);
-  std::vfprintf(f, fmt, args);
-  va_end(args);
-  std::fputc('\n', f);
-  std::fclose(f);
 }
 
 std::string Fingerprint(const Dvms& engine) {

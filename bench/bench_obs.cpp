@@ -11,7 +11,6 @@
 // lines into BENCH_obs.json.
 
 #include <chrono>
-#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -20,6 +19,7 @@
 #include "common/rng.h"
 #include "core/dvms.h"
 #include "core/session.h"
+#include "json_line.h"
 #include "obs/trace.h"
 
 namespace {
@@ -128,19 +128,6 @@ double CountSiteHits(size_t points) {
   obs::SetEnabled(false);
   obs::ResetForTesting();
   return hits;
-}
-
-void AppendJsonLine(const char* fmt, ...) {
-  const char* path = std::getenv("DVMS_BENCH_JSON");
-  if (path == nullptr || path[0] == '\0') return;
-  std::FILE* f = std::fopen(path, "a");
-  if (f == nullptr) return;
-  va_list args;
-  va_start(args, fmt);
-  std::vfprintf(f, fmt, args);
-  va_end(args);
-  std::fputc('\n', f);
-  std::fclose(f);
 }
 
 void PrintObsOverhead() {

@@ -7,7 +7,6 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -18,6 +17,7 @@
 #include "benchmark/benchmark.h"
 #include "common/rng.h"
 #include "core/dvms.h"
+#include "json_line.h"
 
 namespace {
 
@@ -103,19 +103,6 @@ size_t DriveRound(Dvms* engine, int64_t t_base) {
       "Sales", {{Value::Int(t_base + 1000000), Value::Double(50),
                  Value::Double(50)}});
   return 23;
-}
-
-void AppendJsonLine(const char* fmt, ...) {
-  const char* path = std::getenv("DVMS_BENCH_JSON");
-  if (path == nullptr || path[0] == '\0') return;
-  std::FILE* f = std::fopen(path, "a");
-  if (f == nullptr) return;
-  va_list args;
-  va_start(args, fmt);
-  std::vfprintf(f, fmt, args);
-  va_end(args);
-  std::fputc('\n', f);
-  std::fclose(f);
 }
 
 /// Interaction throughput per fsync mode. "none" is the no-durability

@@ -12,7 +12,6 @@
 #include <atomic>
 #include <chrono>
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -27,6 +26,7 @@
 #include "core/dvms.h"
 #include "durability/tailer.h"
 #include "durability/wal.h"
+#include "json_line.h"
 
 namespace {
 
@@ -101,19 +101,6 @@ double DriveCommits(Dvms* primary, int frames, int64_t id_base) {
   if (!primary->FlushWal().ok()) return 0;
   double sec = std::chrono::duration<double>(Clock::now() - t0).count();
   return sec > 0 ? frames / sec : 0;
-}
-
-void AppendJsonLine(const char* fmt, ...) {
-  const char* path = std::getenv("DVMS_BENCH_JSON");
-  if (path == nullptr || path[0] == '\0') return;
-  std::FILE* f = std::fopen(path, "a");
-  if (f == nullptr) return;
-  va_list args;
-  va_start(args, fmt);
-  std::vfprintf(f, fmt, args);
-  va_end(args);
-  std::fputc('\n', f);
-  std::fclose(f);
 }
 
 /// Primary commits kFrames while the replica tails live; then the primary

@@ -9,7 +9,6 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <cstdarg>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -22,6 +21,7 @@
 #include "benchmark/benchmark.h"
 #include "core/dvms.h"
 #include "durability/manager.h"
+#include "json_line.h"
 
 namespace {
 
@@ -48,19 +48,6 @@ class TempDir {
  private:
   fs::path path_;
 };
-
-void AppendJsonLine(const char* fmt, ...) {
-  const char* path = std::getenv("DVMS_BENCH_JSON");
-  if (path == nullptr || path[0] == '\0') return;
-  std::FILE* f = std::fopen(path, "a");
-  if (f == nullptr) return;
-  va_list args;
-  va_start(args, fmt);
-  std::vfprintf(f, fmt, args);
-  va_end(args);
-  std::fputc('\n', f);
-  std::fclose(f);
-}
 
 std::unique_ptr<Dvms> MakeEngine(const std::string& data_dir,
                                  int64_t scrub_ms,

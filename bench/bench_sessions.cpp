@@ -11,7 +11,6 @@
 // they never wait on the write mutex).
 
 #include <chrono>
-#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <atomic>
@@ -24,6 +23,7 @@
 #include "common/rng.h"
 #include "core/dvms.h"
 #include "core/session.h"
+#include "json_line.h"
 
 namespace {
 
@@ -55,19 +55,6 @@ std::unique_ptr<Dvms> MakeEngine() {
   }
   (void)engine->Insert("Sales", rows);
   return engine;
-}
-
-void AppendJsonLine(const char* fmt, ...) {
-  const char* path = std::getenv("DVMS_BENCH_JSON");
-  if (path == nullptr || path[0] == '\0') return;
-  std::FILE* f = std::fopen(path, "a");
-  if (f == nullptr) return;
-  va_list args;
-  va_start(args, fmt);
-  std::vfprintf(f, fmt, args);
-  va_end(args);
-  std::fputc('\n', f);
-  std::fclose(f);
 }
 
 /// Runs kTotalReads session queries split over `threads` sessions; returns

@@ -10,10 +10,6 @@
 
 #include "common/env.h"
 #include "common/schema.h"
-#include "parser/planner.h"
-#include "query/binder.h"
-#include "query/executor.h"
-#include "query/plan.h"
 
 namespace dvms {
 namespace cluster {
@@ -149,6 +145,8 @@ ClusterClient::ClusterClient(ClusterOptions options)
     options_.deadline_ms = EnvInt("DVMS_CLUSTER_DEADLINE_MS", 0);
   }
   latency_ring_.assign(256, 0);
+  system_relations_.Register(kClusterRelation,
+                             [this] { return BuildClusterTable(); });
   if (options_.hedge_percentile > 0) {
     hedge_thread_ = std::thread(&ClusterClient::HedgeLoop, this);
   }
@@ -1045,19 +1043,12 @@ Result<Table> ClusterClient::LocalClusterQuery(const QueryRequest& req) {
     return Status::Unsupported(
         "cluster: EXPLAIN over dvms_cluster is not supported");
   }
-  // dvms_cluster is client-local state, not engine state: execute against
-  // an empty base view with the freshly built table overlaid, reusing the
-  // engine's own planner/binder/executor stack.
-  OverlaySnapshotView overlay(EmptyBaseView());
-  overlay.AddOverlay(kClusterRelation, BuildClusterTable());
-  Planner planner(&overlay);
-  DVMS_ASSIGN_OR_RETURN(PlanPtr plan, planner.PlanSelect(req.select));
-  Binder binder(&overlay, &udfs_);
-  DVMS_RETURN_IF_ERROR(binder.Bind(plan.get()));
-  Executor exec(static_cast<const RelationSource*>(&overlay), &udfs_);
-  DVMS_ASSIGN_OR_RETURN(std::unique_ptr<NodeResult> result,
-                        exec.Execute(*plan));
-  return std::move(result->table);
+  // dvms_cluster is client-local state, not engine state: resolve it from
+  // the client's registry over an empty base, through the engine's own
+  // planner/binder/executor stack.
+  StatementView view(EmptyBaseView(), &system_relations_);
+  return RunSelect(req.select, /*explain=*/false, /*analyze=*/false, view,
+                   udfs_);
 }
 
 }  // namespace cluster

@@ -335,6 +335,8 @@ class ClusterClient {
 
   ClusterOptions options_;  // resolved (env overlays applied)
   UdfRegistry udfs_;
+  /// Holds dvms_cluster, the client's one system relation.
+  SystemRelationRegistry system_relations_;
 
   /// Guards endpoints_ (vector + every field) and rr_. Engine calls are
   /// never made while holding it, except leaf-locked stats reads

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "parser/planner.h"
+
 namespace dvms {
 
 Result<TablePtr> RelationSnapshot::Read(const VersionRef& version) const {
@@ -58,30 +60,109 @@ Result<TablePtr> EngineSnapshotView::Read(const std::string& relation,
   return (*rel)->Read(version);
 }
 
-void OverlaySnapshotView::AddOverlay(const std::string& name, Table table) {
-  overlays_[IdentKey(name)] = MakeTablePtr(std::move(table));
+void SystemRelationRegistry::Register(const std::string& name,
+                                      Producer produce) {
+  producers_[IdentKey(name)] = std::move(produce);
 }
 
-bool OverlaySnapshotView::HasOverlay(const std::string& name) const {
-  return overlays_.count(IdentKey(name)) > 0;
-}
-
-Result<Schema> OverlaySnapshotView::ResolveRelation(
+const SystemRelationRegistry::Producer* SystemRelationRegistry::Find(
     const std::string& name) const {
-  auto it = overlays_.find(IdentKey(name));
-  if (it != overlays_.end()) return it->second->schema();
-  return base_->ResolveRelation(name);
+  auto it = producers_.find(IdentKey(name));
+  return it == producers_.end() ? nullptr : &it->second;
 }
 
-Result<TablePtr> OverlaySnapshotView::Read(const std::string& relation,
-                                           const VersionRef& version) const {
-  auto it = overlays_.find(IdentKey(relation));
-  if (it != overlays_.end()) {
-    // System relations have no history: every version ref resolves to the
-    // freshly built table (they are excluded from commits and snapshots).
-    return it->second;
+TablePtr StatementView::System(const std::string& name) const {
+  const SystemRelationRegistry::Producer* produce = registry_->Find(name);
+  if (produce == nullptr) return nullptr;
+  TablePtr& table = built_[IdentKey(name)];
+  if (table == nullptr) table = MakeTablePtr((*produce)());
+  return table;
+}
+
+Result<Schema> StatementView::ResolveRelation(const std::string& name) const {
+  if (TablePtr table = System(name)) return table->schema();
+  return base_schemas_->ResolveRelation(name);
+}
+
+Result<TablePtr> StatementView::Read(const std::string& relation,
+                                     const VersionRef& version) const {
+  // System relations have no history: every version ref resolves to the
+  // statement's freshly built table.
+  if (TablePtr table = System(relation)) return table;
+  return base_relations_->Read(relation, version);
+}
+
+namespace {
+
+/// One-line operator annotation for the EXPLAIN report.
+std::string PlanNodeDetail(const PlanNode& node) {
+  switch (node.kind) {
+    case PlanKind::kScan:
+      return node.relation + node.version.ToString();
+    case PlanKind::kLimit:
+      return std::to_string(node.limit);
+    case PlanKind::kAlias:
+      return node.alias;
+    default:
+      return "";
   }
-  return base_->Read(relation, version);
+}
+
+Table EmptyExplainReport() {
+  return Table(Schema({{"operator", ValueType::kString},
+                       {"detail", ValueType::kString},
+                       {"depth", ValueType::kInt64},
+                       {"rows", ValueType::kInt64},
+                       {"morsels", ValueType::kInt64},
+                       {"self_us", ValueType::kInt64},
+                       {"total_us", ValueType::kInt64}}));
+}
+
+}  // namespace
+
+Result<Table> RunSelect(const SelectStmt& select, bool explain, bool analyze,
+                        const StatementView& view, const UdfRegistry& udfs,
+                        ExecOptions opts) {
+  Planner planner(&view);
+  DVMS_ASSIGN_OR_RETURN(PlanPtr plan, planner.PlanSelect(select));
+  Binder binder(&view, &udfs);
+  DVMS_RETURN_IF_ERROR(binder.Bind(plan.get()));
+  if (explain && !analyze) {
+    // Plan-only: pre-order walk with NULL runtime columns.
+    Table report = EmptyExplainReport();
+    std::function<void(const PlanNode&, int64_t)> walk =
+        [&](const PlanNode& node, int64_t depth) {
+          report.AppendUnchecked(
+              {Value::String(PlanKindToString(node.kind)),
+               Value::String(PlanNodeDetail(node)), Value::Int(depth),
+               Value::Null(), Value::Null(), Value::Null(), Value::Null()});
+          for (const PlanPtr& child : node.children) walk(*child, depth + 1);
+        };
+    walk(*plan, 0);
+    return report;
+  }
+  Executor exec(&view, &udfs);
+  opts.analyze = explain;
+  DVMS_ASSIGN_OR_RETURN(std::unique_ptr<NodeResult> result,
+                        exec.Execute(*plan, opts));
+  if (!explain) return std::move(result->table);
+  Table report = EmptyExplainReport();
+  std::function<void(const NodeResult&, int64_t)> walk =
+      [&](const NodeResult& node, int64_t depth) {
+        int64_t children_us = 0;
+        for (const auto& child : node.children) children_us += child->exec_us;
+        int64_t self_us = node.exec_us - children_us;
+        if (self_us < 0) self_us = 0;
+        report.AppendUnchecked(
+            {Value::String(PlanKindToString(node.node->kind)),
+             Value::String(PlanNodeDetail(*node.node)), Value::Int(depth),
+             Value::Int(static_cast<int64_t>(node.table.num_rows())),
+             Value::Int(static_cast<int64_t>(node.morsels_used)),
+             Value::Int(self_us), Value::Int(node.exec_us)});
+        for (const auto& child : node.children) walk(*child, depth + 1);
+      };
+  walk(*result, 0);
+  return report;
 }
 
 uint64_t SnapshotManager::Publish(const Catalog& catalog) {
@@ -95,7 +176,6 @@ uint64_t SnapshotManager::Publish(const Catalog& catalog) {
     const VersionedTable* table = table_or.value();
     auto kind_or = catalog.KindOf(name);
     RelationKind kind = kind_or.ok() ? kind_or.value() : RelationKind::kBase;
-    if (kind == RelationKind::kSystem) continue;  // rebuilt per read
     std::string key = IdentKey(table->name());
 
     // Incremental reuse: an unchanged mutation epoch certifies the whole

@@ -2,12 +2,14 @@
 #define DVMS_CONCURRENCY_SNAPSHOT_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "parser/ast.h"
 #include "query/binder.h"
 #include "query/executor.h"
 #include "storage/catalog.h"
@@ -67,26 +69,63 @@ class EngineSnapshotView : public SchemaResolver, public RelationSource {
 
 using SnapshotPtr = std::shared_ptr<const EngineSnapshotView>;
 
-/// Read view layered over a base snapshot: per-read overlays (fresh system
-/// relations like dvms_metrics, built from thread-safe obs counters at read
-/// time) shadow the published snapshot without mutating it.
-class OverlaySnapshotView : public SchemaResolver, public RelationSource {
+/// The engine-maintained relations that exist only at read time
+/// (dvms_metrics, dvms_cluster, ...): each owner registers a name and a row
+/// producer once, at construction, and every read resolves the name the
+/// same way. Lookups after construction are lock-free; producers must be
+/// safe to call from concurrent readers.
+class SystemRelationRegistry {
  public:
-  explicit OverlaySnapshotView(const EngineSnapshotView* base) : base_(base) {}
+  using Producer = std::function<Table()>;
 
-  /// Shadows `name` with a freshly built table for this read only.
-  void AddOverlay(const std::string& name, Table table);
+  void Register(const std::string& name, Producer produce);
 
-  bool HasOverlay(const std::string& name) const;
+  /// The producer registered under `name` (case-insensitive), or null.
+  const Producer* Find(const std::string& name) const;
+
+ private:
+  std::unordered_map<std::string, Producer> producers_;  // IdentKey
+};
+
+/// The read view of one statement: a registered system relation is built
+/// on its first ResolveRelation or Read and that table serves the rest of
+/// the statement, whether it is named in FROM, in a FROM subquery, or in
+/// `x IN <relation>`; every other name reads through to the base — a
+/// published snapshot, or the live catalog under the engine write lock.
+/// One view serves one statement on one thread.
+class StatementView : public SchemaResolver, public RelationSource {
+ public:
+  StatementView(const SchemaResolver* base_schemas,
+                const RelationSource* base_relations,
+                const SystemRelationRegistry* registry)
+      : base_schemas_(base_schemas),
+        base_relations_(base_relations),
+        registry_(registry) {}
+  StatementView(const EngineSnapshotView* base,
+                const SystemRelationRegistry* registry)
+      : StatementView(base, base, registry) {}
 
   Result<Schema> ResolveRelation(const std::string& name) const override;
   Result<TablePtr> Read(const std::string& relation,
                         const VersionRef& version) const override;
 
  private:
-  const EngineSnapshotView* base_;
-  std::unordered_map<std::string, TablePtr> overlays_;  // IdentKey
+  /// The statement's table for a registered relation; null otherwise.
+  TablePtr System(const std::string& name) const;
+
+  const SchemaResolver* base_schemas_;
+  const RelationSource* base_relations_;
+  const SystemRelationRegistry* registry_;
+  mutable std::unordered_map<std::string, TablePtr> built_;  // IdentKey
 };
+
+/// Plans, binds and runs one read statement against `view`: the result
+/// table, or with `explain` the per-operator plan report
+/// `(operator, detail, depth, rows, morsels, self_us, total_us)` — plan
+/// only with NULL runtime columns, or executed and timed under `analyze`.
+Result<Table> RunSelect(const SelectStmt& select, bool explain, bool analyze,
+                        const StatementView& view, const UdfRegistry& udfs,
+                        ExecOptions opts = {});
 
 /// Publishes and hands out engine snapshots.
 ///
@@ -104,8 +143,8 @@ class OverlaySnapshotView : public SchemaResolver, public RelationSource {
 /// free in the snapshot-invariant tests.
 class SnapshotManager {
  public:
-  /// Freezes `catalog` (skipping kSystem relations — those are rebuilt per
-  /// read from thread-safe obs state). Returns the now-current epoch.
+  /// Freezes `catalog`, including the kSystem reports a named EXPLAIN
+  /// materializes. Returns the now-current epoch.
   uint64_t Publish(const Catalog& catalog);
 
   /// The latest published snapshot; null before the first Publish.

@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <limits>
 
 #include "common/env.h"
@@ -20,12 +19,6 @@
 namespace dvms {
 
 namespace {
-
-constexpr char kMetricsRelation[] = "dvms_metrics";
-constexpr char kSpansRelation[] = "dvms_spans";
-constexpr char kGovernorRelation[] = "dvms_governor";
-constexpr char kReplicationRelation[] = "dvms_replication";
-constexpr char kStorageRelation[] = "dvms_storage";
 
 /// Space-probe backoff bounds: 1ms doubling to a 1s cap, so a mutation
 /// storm against a full disk costs at most one probe per second while
@@ -72,22 +65,6 @@ uint64_t EnvU64Or(const char* name, uint64_t fallback) {
     return fallback;
   }
   return static_cast<uint64_t>(v);
-}
-
-void CollectFromNames(const SelectStmt& stmt, std::vector<std::string>* out);
-
-void CollectFromNames(const SelectCore& core, std::vector<std::string>* out) {
-  for (const TableRef& ref : core.from) {
-    if (ref.subquery != nullptr) {
-      CollectFromNames(*ref.subquery, out);
-    } else {
-      out->push_back(ref.name);
-    }
-  }
-}
-
-void CollectFromNames(const SelectStmt& stmt, std::vector<std::string>* out) {
-  for (const SelectCore& core : stmt.cores) CollectFromNames(core, out);
 }
 
 Value DoubleOrNull(double v) {
@@ -153,20 +130,6 @@ struct MuLock {
   std::lock_guard<std::recursive_mutex> lock;
 };
 
-/// One-line operator annotation for the EXPLAIN report.
-std::string PlanNodeDetail(const PlanNode& node) {
-  switch (node.kind) {
-    case PlanKind::kScan:
-      return node.relation + node.version.ToString();
-    case PlanKind::kLimit:
-      return std::to_string(node.limit);
-    case PlanKind::kAlias:
-      return node.alias;
-    default:
-      return "";
-  }
-}
-
 }  // namespace
 
 Dvms::Dvms(Options options)
@@ -202,6 +165,20 @@ Dvms::Dvms(Options options)
   pixels_.Clear(RGBA{255, 255, 255, 255});
   obs::InitFromEnv();
   if (options_.trace) obs::SetEnabled(true);
+  // The engine's own relations: built fresh for each read that names them,
+  // never stored in the catalog. Registered before recovery, which may
+  // replay a logged EXPLAIN over them.
+  system_relations_.Register("dvms_metrics", [this] {
+    return BuildMetricsTable(
+        write_lock_acquisitions_.load(std::memory_order_relaxed));
+  });
+  system_relations_.Register("dvms_spans", BuildSpansTable);
+  system_relations_.Register("dvms_governor",
+                             [this] { return BuildGovernorTable(); });
+  system_relations_.Register("dvms_replication",
+                             [this] { return BuildReplicationTable(); });
+  system_relations_.Register("dvms_storage",
+                             [this] { return BuildStorageTable(); });
   InitGovernor();
   if (options_.replica_of.empty()) {
     if (const char* env = std::getenv("DVMS_REPLICA_OF")) {
@@ -310,34 +287,40 @@ Dvms::GovernedRequest::~GovernedRequest() {
     governor::InstallContext(prev_);
     // This runs after EndMutationUnit (rollback + obs::Restore) and while
     // mu_ is still held, so abort counters survive the rollback's metric
-    // rewind. gov_mu_ (a leaf lock) serializes the fold against concurrent
-    // snapshot readers folding theirs.
-    std::lock_guard<std::mutex> gov_lock(dvms_->gov_mu_);
-    GovernorStats& gs = dvms_->governor_stats_;
-    gs.checkpoints += ctx_.checkpoints();
-    if (ctx_.peak_bytes() > gs.peak_mem_bytes) {
-      gs.peak_mem_bytes = ctx_.peak_bytes();
-    }
-    switch (ctx_.abort_code()) {
-      case StatusCode::kDeadlineExceeded:
-        ++gs.deadline_aborts;
-        obs::Count("governor.deadline_aborts");
-        break;
-      case StatusCode::kCancelled:
-        ++gs.cancel_aborts;
-        // One cancel aborts one request.
-        dvms_->cancel_flag_->store(false, std::memory_order_relaxed);
-        obs::Count("governor.cancel_aborts");
-        break;
-      case StatusCode::kResourceExhausted:
-        ++gs.mem_aborts;
-        obs::Count("governor.mem_aborts");
-        break;
-      default:
-        break;
-    }
+    // rewind.
+    dvms_->FoldGovernorAccounting(ctx_, dvms_->cancel_flag_.get());
   }
   --t_governed_depth;
+}
+
+void Dvms::FoldGovernorAccounting(const QueryContext& ctx,
+                                  std::atomic<bool>* cancel_flag) {
+  // gov_mu_ is a leaf lock: the writer (under mu_) and concurrent snapshot
+  // readers fold through it alike.
+  std::lock_guard<std::mutex> gov_lock(gov_mu_);
+  GovernorStats& gs = governor_stats_;
+  gs.checkpoints += ctx.checkpoints();
+  if (ctx.peak_bytes() > gs.peak_mem_bytes) {
+    gs.peak_mem_bytes = ctx.peak_bytes();
+  }
+  switch (ctx.abort_code()) {
+    case StatusCode::kDeadlineExceeded:
+      ++gs.deadline_aborts;
+      obs::Count("governor.deadline_aborts");
+      break;
+    case StatusCode::kCancelled:
+      ++gs.cancel_aborts;
+      // One cancel aborts one request.
+      cancel_flag->store(false, std::memory_order_relaxed);
+      obs::Count("governor.cancel_aborts");
+      break;
+    case StatusCode::kResourceExhausted:
+      ++gs.mem_aborts;
+      obs::Count("governor.mem_aborts");
+      break;
+    default:
+      break;
+  }
 }
 
 void Dvms::RequestCancel() {
@@ -490,6 +473,7 @@ void Dvms::RollbackMutationUnit() {
 
 Status Dvms::CreateBaseTable(const std::string& name, Schema schema) {
   DVMS_RETURN_IF_ERROR(CheckWritable("CreateBaseTable"));
+  DVMS_RETURN_IF_ERROR(CheckRelationName(name));
   AdmissionTicket ticket(this);
   DVMS_RETURN_IF_ERROR(ticket.status());
   MuLock lock(mu_, write_lock_acquisitions_);
@@ -545,6 +529,7 @@ Status Dvms::CreateScale(const std::string& name, double domain_min,
                          double domain_max, double range_min,
                          double range_max) {
   DVMS_RETURN_IF_ERROR(CheckWritable("CreateScale"));
+  DVMS_RETURN_IF_ERROR(CheckRelationName(name));
   AdmissionTicket ticket(this);
   DVMS_RETURN_IF_ERROR(ticket.status());
   MuLock lock(mu_, write_lock_acquisitions_);
@@ -620,7 +605,18 @@ Status Dvms::Execute(const Statement& statement) {
   return logged;
 }
 
+Status Dvms::CheckRelationName(const std::string& name) const {
+  if (system_relations_.Find(name) == nullptr) return Status::OK();
+  return Status::InvalidArgument("'" + name +
+                                 "' is reserved for a system relation");
+}
+
 Status Dvms::ExecuteDispatch(const Statement& statement) {
+  if (statement.kind != Statement::Kind::kInsert &&
+      statement.kind != Statement::Kind::kDelete) {
+    // Every other statement creates (or redefines) its target relation.
+    DVMS_RETURN_IF_ERROR(CheckRelationName(statement.target_name));
+  }
   switch (statement.kind) {
     case Statement::Kind::kCreateTable:
       return CreateBaseTable(statement.target_name, statement.create_schema);
@@ -674,10 +670,15 @@ Status Dvms::ExecuteDispatch(const Statement& statement) {
       return Status::OK();
     }
     case Statement::Kind::kExplain: {
-      DVMS_RETURN_IF_ERROR(SyncSystemRelationsLocked(statement.select));
+      // Inside Execute the live catalog is the base: a program's EXPLAIN
+      // sees the relations its earlier statements created.
+      CatalogSchemaResolver schemas(&catalog_);
+      CatalogRelationSource relations(&catalog_);
+      StatementView view(&schemas, &relations, &system_relations_);
       DVMS_ASSIGN_OR_RETURN(
           Table report,
-          ExplainLocked(statement.select, statement.explain_analyze));
+          RunSelect(statement.select, /*explain=*/true,
+                    statement.explain_analyze, view, udfs_, ReadOptions()));
       if (statement.target_name.empty()) return Status::OK();
       // Named form materializes the report as a system relation so later
       // DeVIL queries can join/filter it.
@@ -747,125 +748,19 @@ Status Dvms::LoadProgram(const std::string& source) {
 }
 
 Result<Table> Dvms::Query(const std::string& select_sql) {
-  // Read-only by construction (ParseQuery only accepts SELECT / EXPLAIN):
-  // draws a reader slot, never a mutation slot. Still serialized under mu_
-  // — the lock-free concurrent path is Session::Query.
-  AdmissionTicket ticket(this, AdmissionTicket::Gate::kReader);
-  DVMS_RETURN_IF_ERROR(ticket.status());
-  MuLock lock(mu_, write_lock_acquisitions_);
-  GovernedRequest request(this);
   obs::Span span("engine.query");
-  DVMS_ASSIGN_OR_RETURN(QueryRequest req, ParseQuery(select_sql));
-  DVMS_RETURN_IF_ERROR(SyncSystemRelationsLocked(req.select));
-  if (req.explain) return ExplainLocked(req.select, req.analyze);
-  CatalogSchemaResolver resolver(&catalog_);
-  Planner planner(&resolver);
-  DVMS_ASSIGN_OR_RETURN(PlanPtr plan, planner.PlanSelect(req.select));
-  Binder binder(&resolver, &udfs_);
-  DVMS_RETURN_IF_ERROR(binder.Bind(plan.get()));
-  Executor exec(&catalog_, &udfs_);
-  ExecOptions exec_opts;
-  exec_opts.pool = owned_pool_.get();
-  exec_opts.num_threads = options_.num_threads;
-  DVMS_ASSIGN_OR_RETURN(std::unique_ptr<NodeResult> result,
-                        exec.Execute(*plan, exec_opts));
-  return std::move(result->table);
+  // An internal session sharing the engine cancel flag: RequestCancel()
+  // aborts the next request, and the read that aborts consumes it.
+  Session::Options session_options;
+  session_options.cancel_flag = cancel_flag_;
+  return Session(this, session_options).Query(select_sql);
 }
 
-Status Dvms::SyncSystemRelationsLocked(const SelectStmt& select) {
-  std::vector<std::string> names;
-  CollectFromNames(select, &names);
-  for (const std::string& name : names) {
-    Table refreshed(Schema{});
-    const char* canonical = nullptr;
-    if (IdentEquals(name, kMetricsRelation)) {
-      refreshed = BuildMetricsTable(
-          write_lock_acquisitions_.load(std::memory_order_relaxed));
-      canonical = kMetricsRelation;
-    } else if (IdentEquals(name, kSpansRelation)) {
-      refreshed = BuildSpansTable();
-      canonical = kSpansRelation;
-    } else if (IdentEquals(name, kGovernorRelation)) {
-      refreshed = BuildGovernorTable();
-      canonical = kGovernorRelation;
-    } else if (IdentEquals(name, kReplicationRelation)) {
-      refreshed = BuildReplicationTable();
-      canonical = kReplicationRelation;
-    } else if (IdentEquals(name, kStorageRelation)) {
-      refreshed = BuildStorageTable();
-      canonical = kStorageRelation;
-    } else {
-      continue;
-    }
-    if (!catalog_.Exists(canonical)) {
-      DVMS_RETURN_IF_ERROR(catalog_
-                               .CreateTable(canonical, refreshed.schema(),
-                                            RelationKind::kSystem,
-                                            /*max_history=*/2)
-                               .status());
-    }
-    DVMS_ASSIGN_OR_RETURN(VersionedTable * table, catalog_.Get(canonical));
-    DVMS_RETURN_IF_ERROR(table->SetCurrent(std::move(refreshed)));
-  }
-  return Status::OK();
-}
-
-Result<Table> Dvms::ExplainLocked(const SelectStmt& select, bool analyze) {
-  CatalogSchemaResolver resolver(&catalog_);
-  CatalogRelationSource source(&catalog_);
-  return ExplainWith(resolver, source, select, analyze);
-}
-
-Result<Table> Dvms::ExplainWith(const SchemaResolver& resolver,
-                                const RelationSource& source,
-                                const SelectStmt& select, bool analyze) {
-  Planner planner(&resolver);
-  DVMS_ASSIGN_OR_RETURN(PlanPtr plan, planner.PlanSelect(select));
-  Binder binder(&resolver, &udfs_);
-  DVMS_RETURN_IF_ERROR(binder.Bind(plan.get()));
-  Table report(Schema({{"operator", ValueType::kString},
-                       {"detail", ValueType::kString},
-                       {"depth", ValueType::kInt64},
-                       {"rows", ValueType::kInt64},
-                       {"morsels", ValueType::kInt64},
-                       {"self_us", ValueType::kInt64},
-                       {"total_us", ValueType::kInt64}}));
-  if (!analyze) {
-    // Plan-only: pre-order walk with NULL runtime columns.
-    std::function<void(const PlanNode&, int64_t)> walk =
-        [&](const PlanNode& node, int64_t depth) {
-          report.AppendUnchecked(
-              {Value::String(PlanKindToString(node.kind)),
-               Value::String(PlanNodeDetail(node)), Value::Int(depth),
-               Value::Null(), Value::Null(), Value::Null(), Value::Null()});
-          for (const PlanPtr& child : node.children) walk(*child, depth + 1);
-        };
-    walk(*plan, 0);
-    return report;
-  }
-  Executor exec(&source, &udfs_);
-  ExecOptions exec_opts;
-  exec_opts.pool = owned_pool_.get();
-  exec_opts.num_threads = options_.num_threads;
-  exec_opts.analyze = true;
-  DVMS_ASSIGN_OR_RETURN(std::unique_ptr<NodeResult> result,
-                        exec.Execute(*plan, exec_opts));
-  std::function<void(const NodeResult&, int64_t)> walk =
-      [&](const NodeResult& node, int64_t depth) {
-        int64_t children_us = 0;
-        for (const auto& child : node.children) children_us += child->exec_us;
-        int64_t self_us = node.exec_us - children_us;
-        if (self_us < 0) self_us = 0;
-        report.AppendUnchecked(
-            {Value::String(PlanKindToString(node.node->kind)),
-             Value::String(PlanNodeDetail(*node.node)), Value::Int(depth),
-             Value::Int(static_cast<int64_t>(node.table.num_rows())),
-             Value::Int(static_cast<int64_t>(node.morsels_used)),
-             Value::Int(self_us), Value::Int(node.exec_us)});
-        for (const auto& child : node.children) walk(*child, depth + 1);
-      };
-  walk(*result, 0);
-  return report;
+ExecOptions Dvms::ReadOptions() const {
+  ExecOptions opts;
+  opts.pool = owned_pool_.get();
+  opts.num_threads = options_.num_threads;
+  return opts;
 }
 
 Status Dvms::RecomputeTrace(const TraceDefEntry& entry) {
@@ -1248,6 +1143,7 @@ Status Dvms::ComposeInteractions(const std::string& first,
                                  const std::string& second,
                                  const std::string& merged_name) {
   DVMS_RETURN_IF_ERROR(CheckWritable("ComposeInteractions"));
+  DVMS_RETURN_IF_ERROR(CheckRelationName(merged_name));
   AdmissionTicket ticket(this);
   DVMS_RETURN_IF_ERROR(ticket.status());
   MuLock lock(mu_, write_lock_acquisitions_);
@@ -2319,8 +2215,9 @@ Result<Table> Dvms::SnapshotRead(Session* session,
   session->last_read_epoch_ = view->epoch();
 
   // The session's own governor envelope: engine deadline/budget unless the
-  // session overrides them, plus the session-private cancel flag — so
-  // cancelling one session can never abort another's query.
+  // session overrides them, plus the session's cancel flag — private unless
+  // the session adopted a shared token (Dvms::Query shares the engine's) —
+  // so cancelling one session can never abort another's query.
   QueryContext ctx;
   int64_t deadline_ms = session->options_.deadline_ms >= 0
                             ? session->options_.deadline_ms
@@ -2334,72 +2231,12 @@ Result<Table> Dvms::SnapshotRead(Session* session,
 
   Result<Table> out = [&]() -> Result<Table> {
     GovernorRequestScope scope(&ctx);
-    // System relations are rebuilt fresh from thread-safe obs/governor
-    // state and overlaid on the snapshot — never read from (or written
-    // to) the live catalog.
-    OverlaySnapshotView overlay(view.get());
-    std::vector<std::string> names;
-    CollectFromNames(req.select, &names);
-    for (const std::string& name : names) {
-      if (IdentEquals(name, kMetricsRelation)) {
-        overlay.AddOverlay(
-            kMetricsRelation,
-            BuildMetricsTable(
-                write_lock_acquisitions_.load(std::memory_order_relaxed)));
-      } else if (IdentEquals(name, kSpansRelation)) {
-        overlay.AddOverlay(kSpansRelation, BuildSpansTable());
-      } else if (IdentEquals(name, kGovernorRelation)) {
-        overlay.AddOverlay(kGovernorRelation, BuildGovernorTable());
-      } else if (IdentEquals(name, kReplicationRelation)) {
-        overlay.AddOverlay(kReplicationRelation, BuildReplicationTable());
-      } else if (IdentEquals(name, kStorageRelation)) {
-        overlay.AddOverlay(kStorageRelation, BuildStorageTable());
-      }
-    }
-    if (req.explain) {
-      return ExplainWith(overlay, overlay, req.select, req.analyze);
-    }
-    Planner planner(&overlay);
-    DVMS_ASSIGN_OR_RETURN(PlanPtr plan, planner.PlanSelect(req.select));
-    Binder binder(&overlay, &udfs_);
-    DVMS_RETURN_IF_ERROR(binder.Bind(plan.get()));
-    Executor exec(static_cast<const RelationSource*>(&overlay), &udfs_);
-    ExecOptions exec_opts;
-    exec_opts.pool = owned_pool_.get();
-    exec_opts.num_threads = options_.num_threads;
-    DVMS_ASSIGN_OR_RETURN(std::unique_ptr<NodeResult> result,
-                          exec.Execute(*plan, exec_opts));
-    return std::move(result->table);
+    StatementView statement_view(view.get(), &system_relations_);
+    return RunSelect(req.select, req.explain, req.analyze, statement_view,
+                     udfs_, ReadOptions());
   }();
-
-  // Fold the read's governor accounting; reader aborts land in the same
-  // counters the serialized writer uses, under the gov_mu_ leaf lock.
-  {
-    std::lock_guard<std::mutex> gov_lock(gov_mu_);
-    GovernorStats& gs = governor_stats_;
-    gs.checkpoints += ctx.checkpoints();
-    if (ctx.peak_bytes() > gs.peak_mem_bytes) {
-      gs.peak_mem_bytes = ctx.peak_bytes();
-    }
-    switch (ctx.abort_code()) {
-      case StatusCode::kDeadlineExceeded:
-        ++gs.deadline_aborts;
-        obs::Count("governor.deadline_aborts");
-        break;
-      case StatusCode::kCancelled:
-        ++gs.cancel_aborts;
-        // One cancel aborts one query of this session.
-        session->cancel_->store(false, std::memory_order_relaxed);
-        obs::Count("governor.cancel_aborts");
-        break;
-      case StatusCode::kResourceExhausted:
-        ++gs.mem_aborts;
-        obs::Count("governor.mem_aborts");
-        break;
-      default:
-        break;
-    }
-  }
+  // Reader aborts land in the same counters the serialized writer uses.
+  FoldGovernorAccounting(ctx, session->cancel_.get());
   if (transient_pin) snapshots_.NoteUnpin();
   return out;
 }

@@ -189,9 +189,11 @@ class Dvms {
   /// Ad-hoc query evaluation (not registered as a view). Accepts
   /// `SELECT ...` as well as `EXPLAIN [ANALYZE] SELECT ...`; the EXPLAIN
   /// forms return the plan report table (per-operator rows/time/morsels
-  /// under ANALYZE) instead of the query result. Queries over the system
-  /// relations dvms_metrics / dvms_spans see a snapshot refreshed at the
-  /// start of this call.
+  /// under ANALYZE) instead of the query result. Runs as a Session read of
+  /// the latest published epoch — it never takes the write mutex — under
+  /// the engine deadline, memory budget and cancel flag. System relations
+  /// (dvms_metrics, dvms_spans, dvms_governor, dvms_replication,
+  /// dvms_storage) are built fresh for the statement that names them.
   Result<Table> Query(const std::string& select_sql);
 
   // ---- Interaction loop ----
@@ -483,17 +485,10 @@ class Dvms {
   /// lineage for @vnow-1 provenance.
   Status CommitViews();
 
-  // ---- Observability plumbing ----
-
-  /// Refreshes the system relations referenced by `select` (dvms_metrics /
-  /// dvms_spans), creating them lazily with RelationKind::kSystem. System
-  /// relations are excluded from mutation-unit arming, interaction
-  /// commits, and durability snapshots.
-  Status SyncSystemRelationsLocked(const SelectStmt& select);
-
-  /// EXPLAIN [ANALYZE]: plans (and under `analyze` executes) the select,
-  /// returning the per-operator report table.
-  Result<Table> ExplainLocked(const SelectStmt& select, bool analyze);
+  /// InvalidArgument when `name` belongs to a registered system relation:
+  /// no table, view, marks, event pattern, trace, scale or named EXPLAIN
+  /// report may shadow one.
+  Status CheckRelationName(const std::string& name) const;
 
   /// Restores base/event relations from the undo history at the current
   /// cursor and recomputes everything downstream.
@@ -530,8 +525,8 @@ class Dvms {
   /// lock: the outermost call on a thread arms a QueryContext (deadline /
   /// cancel flag / memory budget) process-wide. The destructor — which
   /// runs after EndMutationUnit's rollback but before the lock releases —
-  /// folds the context's abort/checkpoint/peak-memory accounting into
-  /// engine counters. Nested public calls join the outer request.
+  /// folds the context's accounting (FoldGovernorAccounting). Nested
+  /// public calls join the outer request.
   class GovernedRequest {
    public:
     explicit GovernedRequest(Dvms* dvms);
@@ -550,6 +545,12 @@ class Dvms {
   /// Resolves GovernorConfig from Options + environment and builds the
   /// admission gate.
   void InitGovernor();
+
+  /// Folds one request's checkpoint, peak-memory and abort accounting into
+  /// governor_stats_ under gov_mu_, for writers and readers alike. A
+  /// kCancelled abort lowers `cancel_flag`: one cancel aborts one request.
+  void FoldGovernorAccounting(const QueryContext& ctx,
+                              std::atomic<bool>* cancel_flag);
 
   /// Snapshot of knobs + counters for the dvms_governor system relation.
   /// Safe without mu_ (immutable config, gate atomics, gov_mu_ for the
@@ -585,17 +586,15 @@ class Dvms {
     bool active_;
   };
 
-  /// The lock-free read path behind Session::Query: parse, admit through
-  /// the reader gate, pin a snapshot epoch (the session-pinned epoch if
-  /// set), overlay freshly built system relations, then plan/bind/execute
-  /// entirely against immutable state. Never acquires mu_.
+  /// The engine's one read path, behind Session::Query and Dvms::Query:
+  /// parse, admit through the reader gate, pin a snapshot epoch (the
+  /// session-pinned epoch if set), then plan/bind/execute entirely against
+  /// immutable state, with registered system relations built on first
+  /// use. Never acquires mu_.
   Result<Table> SnapshotRead(Session* session, const std::string& select_sql);
 
-  /// EXPLAIN [ANALYZE] report over an arbitrary resolver/source pair —
-  /// shared by the locked path (live catalog) and snapshot reads.
-  Result<Table> ExplainWith(const SchemaResolver& resolver,
-                            const RelationSource& source,
-                            const SelectStmt& select, bool analyze);
+  /// Executor options for reads: this engine's pool and thread count.
+  ExecOptions ReadOptions() const;
 
   // ---- Durability plumbing ----
 
@@ -734,10 +733,11 @@ class Dvms {
   /// process-global pool is used.
   std::unique_ptr<ThreadPool> owned_pool_;
   /// Serializes the public mutating entry points (PushEvent / Insert /
-  /// Delete / Query / ...) so concurrent interaction streams from multiple
-  /// threads are safe. Recursive because statements execute through the
-  /// same public surface. Note: pointers returned by GetTable()/pixels()
-  /// are only stable while no other thread mutates the engine.
+  /// Delete / Execute / ...) so concurrent interaction streams from
+  /// multiple threads are safe; reads (Query, Session) never take it.
+  /// Recursive because statements execute through the same public
+  /// surface. Note: pointers returned by GetTable()/pixels() are only
+  /// stable while no other thread mutates the engine.
   mutable std::recursive_mutex mu_;
   UdfRegistry udfs_;
   Catalog catalog_;
@@ -779,6 +779,9 @@ class Dvms {
   GovernorStats governor_stats_;
   /// Published immutable snapshot epochs for lock-free readers.
   SnapshotManager snapshots_;
+  /// dvms_metrics, dvms_spans, dvms_governor, dvms_replication and
+  /// dvms_storage; filled in the constructor, read-only afterwards.
+  SystemRelationRegistry system_relations_;
   /// Times mu_ was taken, surfaced as the synthetic engine.write_lock row
   /// of dvms_metrics. A plain atomic (not an obs counter) so rollback's
   /// obs Save/Restore cannot rewind it and it works with obs disabled.

@@ -19,7 +19,9 @@ namespace dvms {
 /// an optional pinned snapshot epoch. Session::Query never acquires the
 /// engine write mutex: it executes against an immutable published epoch,
 /// concurrently and lock-free with respect to every other session, while
-/// mutation units on the engine keep their serialized commit order.
+/// mutation units on the engine keep their serialized commit order. It is
+/// the engine's only read path: Dvms::Query runs through an internal
+/// session that shares the engine's cancel flag.
 ///
 /// Reads are snapshot-isolated: an unpinned query sees the latest epoch
 /// published before it started (and never a mid-mutation or rolled-back
@@ -55,10 +57,11 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  /// Snapshot-isolated read (SELECT / EXPLAIN [ANALYZE], including
-  /// dvms_metrics / dvms_spans / dvms_governor scans — those are built
-  /// fresh from thread-safe state, not from the catalog). Runs against the
-  /// pinned epoch if one is set, else the latest published epoch.
+  /// Snapshot-isolated read (SELECT / EXPLAIN [ANALYZE]). Runs against the
+  /// pinned epoch if one is set, else the latest published epoch; system
+  /// relations (dvms_metrics, dvms_governor, ...) are built fresh from
+  /// thread-safe state for the statement that names them, whether in FROM,
+  /// a FROM subquery, or `x IN <relation>`.
   Result<Table> Query(const std::string& select_sql);
 
   /// Pins the latest published epoch: until Unpin(), every Query executes

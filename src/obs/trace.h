@@ -8,10 +8,10 @@
 ///      `obs::Enabled()`, a single relaxed atomic load plus a thread-local
 ///      flag check. No locks, no allocation, no clock reads on the
 ///      disabled path.
-///   2. Queryable from DeVIL itself: the registry snapshots into the
-///      system relations `dvms_metrics` / `dvms_spans` (see
-///      Dvms::SyncSystemRelationsLocked), dogfooding the paper's
-///      "everything is a relation" philosophy.
+///   2. Queryable from DeVIL itself: each read that names the system
+///      relations `dvms_metrics` / `dvms_spans` builds them from a registry
+///      snapshot (see SystemRelationRegistry in concurrency/snapshot.h),
+///      dogfooding the paper's "everything is a relation" philosophy.
 ///   3. Rollback-consistent: a mutation unit that rolls back must not leak
 ///      counters or spans into `dvms_metrics` (mirrors how UnitState
 ///      restores `Stats`). `Save()` / `Restore()` capture and rewind the

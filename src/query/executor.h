@@ -74,10 +74,10 @@ struct ExecOptions {
   bool vectorize = exec::VectorizeDefault();
 };
 
-/// Where the executor reads relations from. The engine's locked path reads
-/// the live catalog; concurrent session reads go through an immutable
-/// snapshot view (see concurrency/snapshot.h) so no scan ever touches
-/// mutable storage.
+/// Where the executor reads relations from. View maintenance (and a named
+/// EXPLAIN run inside Execute) reads the live catalog under the engine
+/// write lock; ad-hoc reads go through an immutable snapshot view (see
+/// concurrency/snapshot.h) so no scan ever touches mutable storage.
 class RelationSource {
  public:
   virtual ~RelationSource() = default;

@@ -437,6 +437,16 @@ TEST(ClusterObsTest, ClusterRelationIsQueryable) {
       client.Query("EXPLAIN SELECT * FROM dvms_cluster");
   ASSERT_FALSE(explain.ok());
   EXPECT_EQ(explain.status().code(), StatusCode::kUnsupported);
+
+  // A named EXPLAIN report is an engine relation: routed and session reads
+  // see it once its program commits.
+  ASSERT_TRUE(client.LoadProgram("rep = EXPLAIN SELECT * FROM Sales;").ok());
+  Result<Table> routed_rep = client.Query("SELECT * FROM rep");
+  ASSERT_TRUE(routed_rep.ok()) << routed_rep.status().message();
+  EXPECT_GE(routed_rep.value().num_rows(), 1u);
+  Result<Table> session_rep = Session(&primary).Query("SELECT * FROM rep");
+  ASSERT_TRUE(session_rep.ok()) << session_rep.status().message();
+  EXPECT_EQ(session_rep.value().num_rows(), routed_rep.value().num_rows());
 }
 
 TEST(ClusterRoutingTest, RequestContextCancelShortCircuits) {

@@ -1101,6 +1101,47 @@ TEST(EngineRecoveryTest, CleanShutdownRecoversBitIdentically) {
   EXPECT_NE(Fingerprint(*recovered), want);
 }
 
+TEST(EngineRecoveryTest, SystemRelationNamesAreReserved) {
+  // A relation created under a system-relation name would be shadowed by
+  // the engine's rows on every read while recovery rebuilt the user's, so
+  // memory and log would diverge. Every creating entry point refuses.
+  TempDir dir("recover_reserved");
+  std::string want;
+  {
+    auto engine = MakeEngine(dir.str());
+    RunWorkload(*engine);
+    auto rejected = [](const Status& st) {
+      return st.code() == StatusCode::kInvalidArgument;
+    };
+    Schema schema({{"name", ValueType::kString}, {"value", ValueType::kInt64}});
+    EXPECT_TRUE(rejected(engine->CreateBaseTable("dvms_storage", schema)));
+    EXPECT_TRUE(rejected(engine->CreateBaseTable("DVMS_Metrics", schema)));
+    EXPECT_TRUE(rejected(engine->CreateScale("dvms_governor", 0, 1, 0, 1)));
+    EXPECT_TRUE(rejected(engine->ComposeInteractions("C", "C", "dvms_spans")));
+    for (const char* program :
+         {"dvms_storage = SELECT id FROM Pts;",
+          "dvms_storage = render(SELECT * FROM MARKS);",
+          "dvms_storage = EVENT MOUSE_DOWN AS D, MOUSE_UP AS U RETURN (D.t);",
+          "dvms_storage = FORWARD TRACE FROM Pts WHERE id = 3 TO picked;",
+          "dvms_storage = EXPLAIN SELECT * FROM Pts;"}) {
+      EXPECT_TRUE(rejected(engine->LoadProgram(program))) << program;
+    }
+    EXPECT_FALSE(engine
+                     ->Insert("dvms_storage",
+                              {{Value::String("mine"), Value::Int(1)}})
+                     .ok());
+    Result<Table> storage = engine->Query("SELECT name FROM dvms_storage");
+    ASSERT_TRUE(storage.ok()) << storage.status().message();
+    EXPECT_GT(storage.value().num_rows(), 1u);
+    EXPECT_TRUE(engine->recovery_status().ok());
+    want = Fingerprint(*engine);
+  }
+  auto recovered = MakeEngine(dir.str());
+  ASSERT_TRUE(recovered->recovery_status().ok())
+      << recovered->recovery_status().message();
+  EXPECT_EQ(Fingerprint(*recovered), want);
+}
+
 TEST(EngineRecoveryTest, CheckpointThenRecoverMatchesLogOnlyRecovery) {
   TempDir log_only("recover_logonly");
   TempDir snapped("recover_snapped");

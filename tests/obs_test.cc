@@ -175,6 +175,25 @@ TEST_F(ObsRegistryTest, SaveWhileDisabledIsInvalidAndRestoreIsNoop) {
 // Engine-level: system relations, EXPLAIN, DumpState
 // ---------------------------------------------------------------------------
 
+class TempDir {
+ public:
+  explicit TempDir(const std::string& tag) {
+    static int counter = 0;
+    path_ = fs::path(::testing::TempDir()) /
+            ("dvms_obs_" + tag + "_" + std::to_string(counter++));
+    fs::remove_all(path_);
+    fs::create_directories(path_);
+  }
+  ~TempDir() {
+    std::error_code ec;
+    fs::remove_all(path_, ec);
+  }
+  std::string str() const { return path_.string(); }
+
+ private:
+  fs::path path_;
+};
+
 class ObsEngineTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -241,12 +260,40 @@ TEST_F(ObsEngineTest, SpansRelationIsQueryable) {
 }
 
 TEST_F(ObsEngineTest, SystemRelationsAreExcludedFromCommitHistory) {
-  ASSERT_TRUE(engine_->Query("SELECT * FROM dvms_metrics").ok());
-  auto kind = engine_->catalog()->KindOf("dvms_metrics");
-  ASSERT_TRUE(kind.ok());
-  EXPECT_EQ(kind.value(), RelationKind::kSystem);
-  std::string state = engine_->DumpState();
-  EXPECT_NE(state.find("dvms_metrics [SYSTEM]"), std::string::npos);
+  // A system relation exists only for the statement that reads it: after
+  // reads on either side of an interaction commit it is in none of the
+  // catalog, the undo history, or a durable snapshot.
+  TempDir dir("system_relations");
+  Dvms::Options options;
+  options.data_dir = dir.str();
+  options.snapshot_interval = 0;
+  Dvms engine(options);
+  ASSERT_TRUE(engine.CreateBaseTable("T", Schema({{"x", ValueType::kInt64}}))
+                  .ok());
+  ASSERT_TRUE(engine.Query("SELECT * FROM dvms_metrics").ok());
+  ASSERT_TRUE(engine.Insert("T", {{Value::Int(1)}}).ok());
+  ASSERT_TRUE(engine.LoadProgram("v = SELECT x FROM T;").ok());  // commits
+  ASSERT_TRUE(Session(&engine).Query("SELECT * FROM dvms_metrics").ok());
+  EXPECT_FALSE(engine.catalog()->Exists("dvms_metrics"));
+  EXPECT_EQ(engine.DumpState().find("dvms_metrics"), std::string::npos);
+
+  ASSERT_TRUE(engine.Checkpoint().ok());
+  Result<std::vector<uint64_t>> snaps = ListWalSnapshots(dir.str());
+  ASSERT_TRUE(snaps.ok());
+  ASSERT_EQ(snaps.value().size(), 1u);
+  auto file = ReadSnapshotFile(WalSnapshotPath(dir.str(), snaps.value()[0]));
+  ASSERT_TRUE(file.ok()) << file.status().message();
+  Result<EngineSnapshot> snapshot = DecodeEngineSnapshot(file.value().second);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().message();
+  for (const EngineSnapshot::RelationState& rel : snapshot.value().relations) {
+    EXPECT_NE(IdentKey(rel.name), "dvms_metrics");
+  }
+  ASSERT_FALSE(snapshot.value().undo_history.empty());
+  for (const auto& committed : snapshot.value().undo_history) {
+    for (const auto& [name, table] : committed) {
+      EXPECT_NE(IdentKey(name), "dvms_metrics");
+    }
+  }
 }
 
 TEST_F(ObsEngineTest, ExplainReturnsPlanWithoutExecuting) {
@@ -341,25 +388,6 @@ TEST_F(ObsEngineTest, DumpStatePrintsEveryStatsCounter) {
 // ---------------------------------------------------------------------------
 // Full-Stats durability round-trip
 // ---------------------------------------------------------------------------
-
-class TempDir {
- public:
-  explicit TempDir(const std::string& tag) {
-    static int counter = 0;
-    path_ = fs::path(::testing::TempDir()) /
-            ("dvms_obs_" + tag + "_" + std::to_string(counter++));
-    fs::remove_all(path_);
-    fs::create_directories(path_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  std::string str() const { return path_.string(); }
-
- private:
-  fs::path path_;
-};
 
 TEST(ObsStatsRoundTripTest, SnapshotRestoresEveryStatsCounter) {
   const char* kProgram = R"(

@@ -24,12 +24,10 @@ class OptimizerTest : public ::testing::Test {
   }
 
   void SelectYears(std::vector<int64_t> years) {
-    auto table = engine_->catalog()->Get("selected_years").value();
-    table->mutable_current().Clear();
-    for (int64_t y : years) {
-      ASSERT_TRUE(table->Append({Value::Int(y)}).ok());
-    }
-    ASSERT_TRUE(engine_->maintainer()->OnChanged({"selected_years"}).ok());
+    ASSERT_TRUE(engine_->Delete("selected_years", nullptr).ok());
+    std::vector<Row> rows;
+    for (int64_t y : years) rows.push_back({Value::Int(y)});
+    ASSERT_TRUE(engine_->Insert("selected_years", std::move(rows)).ok());
   }
 
   /// Reference result computed with the optimizer bypassed (ad-hoc query).

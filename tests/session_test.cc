@@ -190,6 +190,25 @@ TEST(SessionTest, GovernorRelationExposesReaderAndSnapshotRows) {
   EXPECT_EQ(value_of("pinned_snapshots"), 1);
   EXPECT_EQ(value_of("snapshot_epoch"),
             static_cast<int64_t>(engine->published_epoch()));
+
+  // `x IN dvms_governor` resolves the relation like FROM does, on both
+  // read entry points.
+  session.Unpin();
+  ASSERT_TRUE(engine
+                  ->CreateBaseTable("Names",
+                                    Schema({{"name", ValueType::kString}}))
+                  .ok());
+  ASSERT_TRUE(engine
+                  ->Insert("Names", {{Value::String("max_readers")},
+                                     {Value::String("not_a_governor_row")}})
+                  .ok());
+  constexpr const char* kInSql =
+      "SELECT name FROM Names WHERE name IN dvms_governor";
+  for (Result<Table> in : {engine->Query(kInSql), session.Query(kInSql)}) {
+    ASSERT_TRUE(in.ok()) << in.status().message();
+    ASSERT_EQ(in.value().num_rows(), 1u);
+    EXPECT_EQ(in.value().At(0, "name").value().string_value(), "max_readers");
+  }
 }
 
 TEST(SessionTest, ConcurrentSessionReadsNeverTakeTheWriteMutex) {
@@ -218,6 +237,13 @@ TEST(SessionTest, ConcurrentSessionReadsNeverTakeTheWriteMutex) {
   }
   for (std::thread& t : threads) t.join();
   // 50 concurrent reads later the lock-acquisition counter has not moved.
+  EXPECT_EQ(write_locks(), before);
+  // Dvms::Query runs through the same snapshot read.
+  for (int i = 0; i < 5; ++i) {
+    auto result = engine->Query(kReadQuery);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result.value().num_rows(), 256u);
+  }
   EXPECT_EQ(write_locks(), before);
   EXPECT_EQ(engine->governor_stats().pinned_snapshots, 0);
 }
