@@ -146,7 +146,7 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DDVMS_SANITIZE=address,undefined
 cmake --build build-asan -j "$JOBS"
 (cd build-asan && ctest --output-on-failure -j "$JOBS" \
-  -R 'Chaos|Fault|Scheduler|Fuzz|UndoRedoBoundary|Crash|Durability|Recovery|Wal|Snapshot|Crc32c|Obs|Explain|Governor|QueryContext|Admission|Linearizability|Session|Replication|Replica|Env|Scrub|Degraded|Columnar|Cluster')
+  -R 'Chaos|Fault|Scheduler|Fuzz|UndoRedoBoundary|Crash|Durability|Recovery|Wal|Snapshot|Crc32c|Obs|Explain|Governor|QueryContext|Admission|Linearizability|Session|Replication|Replica|Env|Scrub|Degraded|Columnar|Cluster|VersionedTable|UndoOptimizer')
 DVMS_FAULTS="7:0.01" ./build-asan/bench/bench_faults \
   --benchmark_filter=__none__ >/dev/null && echo "asan chaos leg passed"
 # Governed-abort leg: deadline/cancel/memory-budget aborts and their

@@ -195,7 +195,7 @@ uint64_t SnapshotManager::Publish(const Catalog& catalog) {
     rel->kind = kind;
     rel->declared_schema = table->declared_schema();
     rel->table_epoch = table->epoch();
-    rel->current = MakeTablePtr(table->current());
+    rel->current = table->CurrentImage();
     rel->committed = table->committed_versions();
     rel->steps = table->step_versions();
     rel->txn_base = table->transaction_base();

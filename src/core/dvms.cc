@@ -820,7 +820,7 @@ Status Dvms::CommitViews() {
     DVMS_ASSIGN_OR_RETURN(VersionedTable * table, catalog_.Get(name));
     table->Commit();
     if (kind == RelationKind::kBase || kind == RelationKind::kEvent) {
-      snapshot.emplace(IdentKey(name), MakeTablePtr(table->current()));
+      snapshot.emplace(IdentKey(name), table->CurrentImage());
     }
   }
   if (options_.capture_lineage) maintainer_.SnapshotCommitted();
@@ -910,7 +910,7 @@ Status Dvms::RestoreToCursor() {
   std::vector<std::string> changed;
   for (const auto& [key, table_ptr] : snapshot) {
     DVMS_ASSIGN_OR_RETURN(VersionedTable * table, catalog_.Get(key));
-    DVMS_RETURN_IF_ERROR(table->SetCurrent(Table(*table_ptr)));
+    DVMS_RETURN_IF_ERROR(table->SetCurrentImage(table_ptr));
     changed.push_back(key);
   }
   DVMS_RETURN_IF_ERROR(ProcessChanges(std::move(changed)));
@@ -1295,11 +1295,8 @@ EngineSnapshot Dvms::BuildSnapshotLocked() const {
   snapshot.counters.trace_recomputes = stats_.trace_recomputes;
   snapshot.counters.interactions_rolled_back = stats_.interactions_rolled_back;
   for (const auto& commit : undo_history_) {
-    std::vector<std::pair<std::string, Table>> entry;
-    entry.reserve(commit.size());
-    for (const auto& [name, table_ptr] : commit) {
-      entry.emplace_back(name, Table(*table_ptr));
-    }
+    std::vector<std::pair<std::string, TablePtr>> entry(commit.begin(),
+                                                        commit.end());
     std::sort(entry.begin(), entry.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
     snapshot.undo_history.push_back(std::move(entry));
@@ -1385,11 +1382,8 @@ Status Dvms::RestoreSnapshot(EngineSnapshot snapshot) {
   // 5. Interaction-level undo history.
   undo_history_.clear();
   for (auto& commit : snapshot.undo_history) {
-    std::unordered_map<std::string, TablePtr> entry;
-    for (auto& [name, table] : commit) {
-      entry.emplace(name, MakeTablePtr(std::move(table)));
-    }
-    undo_history_.push_back(std::move(entry));
+    undo_history_.emplace_back(std::make_move_iterator(commit.begin()),
+                               std::make_move_iterator(commit.end()));
   }
   undo_cursor_ = snapshot.undo_cursor;
   // 6. Stream-scheduler delivery state, held until AttachScheduler().

@@ -1,6 +1,5 @@
 #include "durability/codec.h"
 
-#include <cstdlib>
 #include <limits>
 #include <unordered_map>
 
@@ -33,6 +32,10 @@ void BinaryWriter::PutU32(uint32_t v) {
   char b[4] = {static_cast<char>(v), static_cast<char>(v >> 8),
                static_cast<char>(v >> 16), static_cast<char>(v >> 24)};
   out_.append(b, 4);
+}
+
+void BinaryWriter::PatchU32(size_t at, uint32_t v) {
+  for (int i = 0; i < 4; ++i) out_[at + i] = static_cast<char>(v >> (8 * i));
 }
 
 void BinaryWriter::PutU64(uint64_t v) {
@@ -219,9 +222,7 @@ void EncodeTableLegacy(const Table& table, BinaryWriter* w) {
 }
 
 void EncodeTable(const Table& table, BinaryWriter* w) {
-  const char* env = std::getenv("DVMS_SNAPSHOT_LEGACY");
-  const bool force_legacy = env != nullptr && env[0] != '\0' && env[0] != '0';
-  if (force_legacy || table.IsRagged()) {
+  if (table.IsRagged()) {
     // Ragged tables carry per-row arity the columnar layout flattens away;
     // the row-wise format preserves them exactly.
     EncodeTableLegacy(table, w);

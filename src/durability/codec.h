@@ -27,6 +27,11 @@ class BinaryWriter {
   void PutString(const std::string& s);
   void PutBytes(const void* data, size_t n);
 
+  /// Overwrites the u32 at byte offset `at` (written earlier by PutU32).
+  void PatchU32(size_t at, uint32_t v);
+  /// Drops everything from byte offset `n` on.
+  void Truncate(size_t n) { out_.resize(n); }
+
   const std::string& data() const { return out_; }
   std::string Take() { return std::move(out_); }
   size_t size() const { return out_.size(); }
@@ -78,12 +83,13 @@ Result<Schema> DecodeSchema(BinaryReader* r);
 /// format (per-column typed payloads, validity bitmaps, and a local string
 /// dictionary — ids are remapped to first-occurrence order so the bytes
 /// are independent of the process's global dictionary history). Ragged
-/// tables, and every table when DVMS_SNAPSHOT_LEGACY is set, use the
-/// row-wise legacy format. DecodeTable reads both transparently.
+/// tables use the row-wise legacy format. DecodeTable reads both
+/// transparently.
 void EncodeTable(const Table& table, BinaryWriter* w);
 
-/// The pre-columnar row-wise format (schema, row count, tagged values).
-/// Kept callable so tests can pin recovery from row-store-era snapshots.
+/// The pre-columnar row-wise format (schema, row count, tagged values):
+/// the only format for ragged tables, and what row-store-era snapshots
+/// hold.
 void EncodeTableLegacy(const Table& table, BinaryWriter* w);
 
 Result<Table> DecodeTable(BinaryReader* r);

@@ -1,11 +1,19 @@
 #include "durability/snapshot.h"
 
+#include <string_view>
+#include <unordered_map>
+
 namespace dvms {
 
 namespace {
 
-constexpr uint8_t kSnapshotFormatVersion = 1;
+// v1: every table inline, once per reference. v2: one table pool up
+// front; relation versions and undo entries refer to it by u32 index.
+constexpr uint8_t kSnapshotFormatV1 = 1;
+constexpr uint8_t kSnapshotFormatVersion = 2;
 constexpr uint64_t kMaxSnapshotCount = 1ull << 28;
+/// Pool index of a null TablePtr (no open transaction base).
+constexpr uint32_t kNoTable = 0xFFFFFFFFu;
 
 Status CountError(uint64_t n, const char* what) {
   return Status::ExecutionError("snapshot decode: implausible " +
@@ -13,54 +21,165 @@ Status CountError(uint64_t n, const char* what) {
                                 std::to_string(n));
 }
 
-void EncodeTablePtr(const TablePtr& t, BinaryWriter* w) {
-  w->PutBool(t != nullptr);
-  if (t != nullptr) EncodeTable(*t, w);
+/// Writes a payload's table pool into `out`: a u32 count, then each
+/// distinct table encoded once. A table is looked up by pointer first
+/// (shared images cost one probe), then encoded in place and compared
+/// with the earlier entries of the same byte size; a duplicate is cut
+/// off again. Indexes thus follow the first occurrence of each distinct
+/// content in traversal order, and the payload depends only on logical
+/// state, not on which images happen to share a pointer.
+class TablePoolWriter {
+ public:
+  explicit TablePoolWriter(BinaryWriter* out)
+      : out_(out), count_at_(out->size()) {
+    out_->PutU32(0);  // patched by Finish()
+  }
+
+  uint32_t Add(const TablePtr& table) {
+    if (table == nullptr) return kNoTable;
+    auto by_ptr = by_ptr_.find(table.get());
+    if (by_ptr != by_ptr_.end()) return by_ptr->second;
+    const size_t begin = out_->size();
+    EncodeTable(*table, out_);
+    const size_t size = out_->size() - begin;
+    const std::string_view bytes(out_->data().data() + begin, size);
+    std::vector<uint32_t>& same_size = by_size_[size];
+    uint32_t index = static_cast<uint32_t>(offsets_.size());
+    for (uint32_t candidate : same_size) {
+      if (bytes == std::string_view(out_->data().data() + offsets_[candidate],
+                                    size)) {
+        index = candidate;
+        break;
+      }
+    }
+    if (index == offsets_.size()) {
+      offsets_.push_back(begin);
+      same_size.push_back(index);
+    } else {
+      out_->Truncate(begin);
+    }
+    by_ptr_.emplace(table.get(), index);
+    return index;
+  }
+
+  void Finish() {
+    out_->PatchU32(count_at_, static_cast<uint32_t>(offsets_.size()));
+  }
+
+ private:
+  BinaryWriter* out_;
+  size_t count_at_;
+  std::vector<size_t> offsets_;  // entry index -> first byte in *out_
+  std::unordered_map<const Table*, uint32_t> by_ptr_;
+  std::unordered_map<size_t, std::vector<uint32_t>> by_size_;
+};
+
+Result<std::vector<TablePtr>> DecodeTablePool(BinaryReader* r) {
+  DVMS_ASSIGN_OR_RETURN(uint32_t n, r->GetU32());
+  // Every encoded table takes at least one byte.
+  if (n > kMaxSnapshotCount || n > r->remaining()) {
+    return CountError(n, "table-pool");
+  }
+  std::vector<TablePtr> pool;
+  pool.reserve(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    DVMS_ASSIGN_OR_RETURN(Table t, DecodeTable(r));
+    pool.push_back(MakeTablePtr(std::move(t)));
+  }
+  return pool;
 }
 
-Result<TablePtr> DecodeTablePtr(BinaryReader* r) {
-  DVMS_ASSIGN_OR_RETURN(bool present, r->GetBool());
-  if (!present) return TablePtr();
-  DVMS_ASSIGN_OR_RETURN(Table t, DecodeTable(r));
-  return MakeTablePtr(std::move(t));
-}
+/// Reads one table reference: a pool index (v2) or, with no pool, an
+/// inline v1 table — bare for working states and undo entries, behind a
+/// presence flag for versions.
+class TableRefReader {
+ public:
+  explicit TableRefReader(const std::vector<TablePtr>* pool) : pool_(pool) {}
 
-}  // namespace
+  Result<TablePtr> Get(BinaryReader* r, bool v1_flagged) const {
+    if (pool_ == nullptr) {
+      if (v1_flagged) {
+        DVMS_ASSIGN_OR_RETURN(bool present, r->GetBool());
+        if (!present) return TablePtr();
+      }
+      DVMS_ASSIGN_OR_RETURN(Table t, DecodeTable(r));
+      return MakeTablePtr(std::move(t));
+    }
+    DVMS_ASSIGN_OR_RETURN(uint32_t index, r->GetU32());
+    if (index == kNoTable) return TablePtr();
+    if (index >= pool_->size()) {
+      return Status::ExecutionError(
+          "snapshot decode: table index " + std::to_string(index) +
+          " out of range (pool holds " + std::to_string(pool_->size()) + ")");
+    }
+    return (*pool_)[index];
+  }
 
-void EncodeVersionedTableState(const VersionedTable::DurableState& s,
-                               BinaryWriter* w) {
-  EncodeTable(s.current, w);
+  /// A reference that must name a table (working states, versions, undo
+  /// entries).
+  Result<TablePtr> GetRequired(BinaryReader* r, bool v1_flagged) const {
+    DVMS_ASSIGN_OR_RETURN(TablePtr t, Get(r, v1_flagged));
+    if (t == nullptr) {
+      return Status::ExecutionError("snapshot decode: missing table");
+    }
+    return t;
+  }
+
+ private:
+  const std::vector<TablePtr>* pool_;
+};
+
+void EncodeStateRefs(const VersionedTable::DurableState& s,
+                     TablePoolWriter* pool, BinaryWriter* w) {
+  w->PutU32(pool->Add(s.current));
   w->PutU32(static_cast<uint32_t>(s.committed.size()));
-  for (const TablePtr& t : s.committed) EncodeTablePtr(t, w);
+  for (const TablePtr& t : s.committed) w->PutU32(pool->Add(t));
   w->PutU32(static_cast<uint32_t>(s.steps.size()));
-  for (const TablePtr& t : s.steps) EncodeTablePtr(t, w);
-  EncodeTablePtr(s.txn_base, w);
+  for (const TablePtr& t : s.steps) w->PutU32(pool->Add(t));
+  w->PutU32(pool->Add(s.txn_base));
   w->PutBool(s.in_transaction);
   w->PutU64(s.epoch);
 }
 
-Result<VersionedTable::DurableState> DecodeVersionedTableState(
-    BinaryReader* r) {
+Result<VersionedTable::DurableState> DecodeStateRefs(
+    const TableRefReader& refs, BinaryReader* r) {
   VersionedTable::DurableState s;
-  DVMS_ASSIGN_OR_RETURN(s.current, DecodeTable(r));
+  DVMS_ASSIGN_OR_RETURN(s.current, refs.GetRequired(r, false));
   DVMS_ASSIGN_OR_RETURN(uint32_t n_committed, r->GetU32());
   if (n_committed > kMaxSnapshotCount) return CountError(n_committed, "version");
   s.committed.reserve(n_committed);
   for (uint32_t i = 0; i < n_committed; ++i) {
-    DVMS_ASSIGN_OR_RETURN(TablePtr t, DecodeTablePtr(r));
+    DVMS_ASSIGN_OR_RETURN(TablePtr t, refs.GetRequired(r, true));
     s.committed.push_back(std::move(t));
   }
   DVMS_ASSIGN_OR_RETURN(uint32_t n_steps, r->GetU32());
   if (n_steps > kMaxSnapshotCount) return CountError(n_steps, "step");
   s.steps.reserve(n_steps);
   for (uint32_t i = 0; i < n_steps; ++i) {
-    DVMS_ASSIGN_OR_RETURN(TablePtr t, DecodeTablePtr(r));
+    DVMS_ASSIGN_OR_RETURN(TablePtr t, refs.GetRequired(r, true));
     s.steps.push_back(std::move(t));
   }
-  DVMS_ASSIGN_OR_RETURN(s.txn_base, DecodeTablePtr(r));
+  DVMS_ASSIGN_OR_RETURN(s.txn_base, refs.Get(r, true));
   DVMS_ASSIGN_OR_RETURN(s.in_transaction, r->GetBool());
   DVMS_ASSIGN_OR_RETURN(s.epoch, r->GetU64());
   return s;
+}
+
+}  // namespace
+
+void EncodeVersionedTableState(const VersionedTable::DurableState& s,
+                               BinaryWriter* w) {
+  TablePoolWriter pool(w);
+  BinaryWriter refs;
+  EncodeStateRefs(s, &pool, &refs);
+  pool.Finish();
+  w->PutBytes(refs.data().data(), refs.size());
+}
+
+Result<VersionedTable::DurableState> DecodeVersionedTableState(
+    BinaryReader* r) {
+  DVMS_ASSIGN_OR_RETURN(std::vector<TablePtr> pool, DecodeTablePool(r));
+  return DecodeStateRefs(TableRefReader(&pool), r);
 }
 
 void EncodeMatcherState(const PatternMatcher::SavedState& s, BinaryWriter* w) {
@@ -151,17 +270,20 @@ Result<StreamScheduler::DurableState> DecodeSchedulerState(BinaryReader* r) {
 }
 
 std::string EncodeEngineSnapshot(const EngineSnapshot& snapshot) {
+  // The pool fills `out` while everything after it is written to `w`,
+  // which is appended once the pool is complete.
+  BinaryWriter out;
+  out.PutU8(kSnapshotFormatVersion);
+  out.PutU64(snapshot.last_lsn);
+  TablePoolWriter pool(&out);
   BinaryWriter w;
-  w.PutU8(kSnapshotFormatVersion);
-  w.PutU64(snapshot.last_lsn);
-
   w.PutU32(static_cast<uint32_t>(snapshot.definition_ops.size()));
   for (const std::string& op : snapshot.definition_ops) w.PutString(op);
 
   w.PutU32(static_cast<uint32_t>(snapshot.relations.size()));
   for (const EngineSnapshot::RelationState& rel : snapshot.relations) {
     w.PutString(rel.name);
-    EncodeVersionedTableState(rel.state, &w);
+    EncodeStateRefs(rel.state, &pool, &w);
   }
 
   w.PutU32(static_cast<uint32_t>(snapshot.matchers.size()));
@@ -182,25 +304,33 @@ std::string EncodeEngineSnapshot(const EngineSnapshot& snapshot) {
     w.PutU32(static_cast<uint32_t>(commit.size()));
     for (const auto& [name, table] : commit) {
       w.PutString(name);
-      EncodeTable(table, &w);
+      w.PutU32(pool.Add(table));
     }
   }
   w.PutU64(snapshot.undo_cursor);
 
   w.PutBool(snapshot.has_scheduler);
   if (snapshot.has_scheduler) EncodeSchedulerState(snapshot.scheduler, &w);
-  return w.Take();
+
+  pool.Finish();
+  out.PutBytes(w.data().data(), w.size());
+  return out.Take();
 }
 
 Result<EngineSnapshot> DecodeEngineSnapshot(const std::string& payload) {
   BinaryReader r(payload);
   EngineSnapshot s;
   DVMS_ASSIGN_OR_RETURN(uint8_t version, r.GetU8());
-  if (version != kSnapshotFormatVersion) {
+  if (version != kSnapshotFormatV1 && version != kSnapshotFormatVersion) {
     return Status::ExecutionError("snapshot decode: unsupported format v" +
                                   std::to_string(version));
   }
   DVMS_ASSIGN_OR_RETURN(s.last_lsn, r.GetU64());
+  std::vector<TablePtr> pool;
+  if (version != kSnapshotFormatV1) {
+    DVMS_ASSIGN_OR_RETURN(pool, DecodeTablePool(&r));
+  }
+  const TableRefReader refs(version == kSnapshotFormatV1 ? nullptr : &pool);
 
   DVMS_ASSIGN_OR_RETURN(uint32_t n_defs, r.GetU32());
   if (n_defs > kMaxSnapshotCount) return CountError(n_defs, "definition-op");
@@ -216,7 +346,7 @@ Result<EngineSnapshot> DecodeEngineSnapshot(const std::string& payload) {
   for (uint32_t i = 0; i < n_rels; ++i) {
     EngineSnapshot::RelationState rel;
     DVMS_ASSIGN_OR_RETURN(rel.name, r.GetString());
-    DVMS_ASSIGN_OR_RETURN(rel.state, DecodeVersionedTableState(&r));
+    DVMS_ASSIGN_OR_RETURN(rel.state, DecodeStateRefs(refs, &r));
     s.relations.push_back(std::move(rel));
   }
 
@@ -242,11 +372,11 @@ Result<EngineSnapshot> DecodeEngineSnapshot(const std::string& payload) {
   for (uint32_t i = 0; i < n_commits; ++i) {
     DVMS_ASSIGN_OR_RETURN(uint32_t n_tables, r.GetU32());
     if (n_tables > kMaxSnapshotCount) return CountError(n_tables, "undo-table");
-    std::vector<std::pair<std::string, Table>> commit;
+    std::vector<std::pair<std::string, TablePtr>> commit;
     commit.reserve(n_tables);
     for (uint32_t j = 0; j < n_tables; ++j) {
       DVMS_ASSIGN_OR_RETURN(std::string name, r.GetString());
-      DVMS_ASSIGN_OR_RETURN(Table table, DecodeTable(&r));
+      DVMS_ASSIGN_OR_RETURN(TablePtr table, refs.GetRequired(&r, false));
       commit.emplace_back(std::move(name), std::move(table));
     }
     s.undo_history.push_back(std::move(commit));

@@ -22,6 +22,11 @@ namespace dvms {
 /// through the normal DDL path, then overlays the physical state below —
 /// so a snapshot stays valid across changes to planner internals, and
 /// restore exercises exactly the production compilation code.
+///
+/// Payload v2 leads with a table pool holding each distinct encoded table
+/// once (deduplicated by pointer, then by exact bytes); relation versions
+/// and undo entries are u32 pool indexes, and decoding shares one TablePtr
+/// per pool entry. v1 payloads (every table inline) still decode.
 struct EngineSnapshot {
   uint64_t last_lsn = 0;
 
@@ -55,7 +60,9 @@ struct EngineSnapshot {
 
   /// Interaction-level undo history: one entry per committed interaction
   /// (oldest first), each a name-sorted set of base/event relation images.
-  std::vector<std::vector<std::pair<std::string, Table>>> undo_history;
+  /// The images are the relations' shared TablePtrs, so an unchanged
+  /// relation is one pool entry however many entries name it.
+  std::vector<std::vector<std::pair<std::string, TablePtr>>> undo_history;
   uint64_t undo_cursor = 0;
 
   bool has_scheduler = false;
@@ -67,6 +74,8 @@ Result<EngineSnapshot> DecodeEngineSnapshot(const std::string& payload);
 
 // ---- Sub-codecs (exposed for tests) ----
 
+/// One relation state, standalone: its own table pool, then the state with
+/// pool indexes (the layout a v2 engine payload uses with one shared pool).
 void EncodeVersionedTableState(const VersionedTable::DurableState& s,
                                BinaryWriter* w);
 Result<VersionedTable::DurableState> DecodeVersionedTableState(BinaryReader* r);

@@ -511,7 +511,7 @@ Result<TablePtr> CatalogRelationSource::Read(const std::string& relation,
   DVMS_ASSIGN_OR_RETURN(VersionedTable * table, catalog_->Get(relation));
   switch (version.kind) {
     case VersionRef::Kind::kCurrent:
-      return MakeTablePtr(table->current());
+      return table->CurrentImage();
     case VersionRef::Kind::kVnow:
       return table->Version(version.offset);
     case VersionRef::Kind::kTnow:

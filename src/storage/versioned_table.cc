@@ -12,18 +12,34 @@ VersionedTable::VersionedTable(std::string name, Schema schema,
       max_history_(max_history) {
   // Seed history with the empty initial version so @vnow-1 is always
   // addressable.
-  committed_.push_back(MakeTablePtr(current_));
+  committed_.push_back(CurrentImage());
+}
+
+const TablePtr& VersionedTable::CurrentImage() const {
+  if (image_ == nullptr) image_ = MakeTablePtr(current_);
+  return image_;
 }
 
 void VersionedTable::CaptureCurrentForUndo() {
-  if (!undo_armed_ || undo_current_.has_value()) return;
+  if (!undo_armed_ || undo_current_ != nullptr) return;
   if (!undo_meta_.has_value()) undo_epoch_ = epoch_;
-  undo_current_ = current_;  // copy: the caller mutates current_ in place
+  // The caller mutates current_ in place and drops the image; the capture
+  // keeps it (a copy only if no image existed yet).
+  undo_current_ = CurrentImage();
+}
+
+void VersionedTable::CaptureByDisplacement() {
+  if (!undo_armed_ || undo_current_ != nullptr) return;
+  if (!undo_meta_.has_value()) undo_epoch_ = epoch_;
+  // The outgoing working state becomes the undo snapshot instead of being
+  // destroyed: its image if one exists, else the moved-out table.
+  undo_current_ =
+      image_ != nullptr ? std::move(image_) : MakeTablePtr(std::move(current_));
 }
 
 void VersionedTable::CaptureMetaForUndo() {
   if (!undo_armed_ || undo_meta_.has_value()) return;
-  if (!undo_current_.has_value()) undo_epoch_ = epoch_;
+  if (undo_current_ == nullptr) undo_epoch_ = epoch_;
   UndoMeta meta;
   meta.committed = committed_;  // shared_ptr copies — cheap
   meta.steps = steps_;
@@ -45,9 +61,10 @@ void VersionedTable::DisarmUndo() {
 }
 
 bool VersionedTable::RollbackUndo() {
-  bool restored = undo_current_.has_value() || undo_meta_.has_value();
-  if (undo_current_.has_value()) {
-    current_ = std::move(*undo_current_);
+  bool restored = undo_current_ != nullptr || undo_meta_.has_value();
+  if (undo_current_ != nullptr) {
+    current_ = *undo_current_;
+    image_ = std::move(undo_current_);
   }
   if (undo_meta_.has_value()) {
     committed_ = std::move(undo_meta_->committed);
@@ -70,13 +87,23 @@ Status VersionedTable::SetCurrent(Table t) {
   // Keep the declared column names/types; adopt the columns in place.
   Table replacement = std::move(t);
   replacement.ReplaceSchema(declared_schema_);
-  if (undo_armed_ && !undo_current_.has_value()) {
-    // Capture by displacement: the outgoing working state becomes the undo
-    // snapshot instead of being destroyed — zero-copy on the view path.
-    if (!undo_meta_.has_value()) undo_epoch_ = epoch_;
-    undo_current_ = std::move(current_);
-  }
+  CaptureByDisplacement();  // zero-copy on the view path
   current_ = std::move(replacement);
+  image_.reset();
+  ++epoch_;
+  return Status::OK();
+}
+
+Status VersionedTable::SetCurrentImage(TablePtr image) {
+  if (!declared_schema_.UnionCompatible(image->schema())) {
+    return Status::TypeError("table '" + name_ +
+                             "': restored contents are not union-compatible "
+                             "with declared schema [" +
+                             declared_schema_.ToString() + "]");
+  }
+  CaptureByDisplacement();
+  current_ = *image;
+  image_ = std::move(image);
   ++epoch_;
   return Status::OK();
 }
@@ -85,12 +112,14 @@ Status VersionedTable::Append(Row row) {
   DVMS_RETURN_IF_ERROR(fault::MaybeInject(FaultSite::kStorageAppend));
   CaptureCurrentForUndo();
   ++epoch_;
+  image_.reset();
   return current_.Append(std::move(row));
 }
 
 void VersionedTable::ClearCurrent() {
   CaptureCurrentForUndo();
   ++epoch_;
+  image_.reset();
   current_.Clear();
 }
 
@@ -99,7 +128,7 @@ void VersionedTable::BeginTransaction() {
   CaptureMetaForUndo();
   ++epoch_;
   in_transaction_ = true;
-  txn_base_ = MakeTablePtr(current_);
+  txn_base_ = CurrentImage();
   steps_.clear();
 }
 
@@ -107,13 +136,13 @@ void VersionedTable::RecordStep() {
   if (!in_transaction_) BeginTransaction();
   CaptureMetaForUndo();
   ++epoch_;
-  steps_.push_back(MakeTablePtr(current_));
+  steps_.push_back(CurrentImage());
 }
 
 void VersionedTable::Commit() {
   CaptureMetaForUndo();
   ++epoch_;
-  committed_.push_back(MakeTablePtr(current_));
+  committed_.push_back(CurrentImage());
   if (committed_.size() > max_history_) {
     committed_.erase(committed_.begin());
   }
@@ -123,14 +152,15 @@ void VersionedTable::Commit() {
 }
 
 void VersionedTable::Abort() {
+  TablePtr restore = in_transaction_ ? txn_base_ : nullptr;
+  if (restore == nullptr && !committed_.empty()) restore = committed_.back();
   CaptureMetaForUndo();
-  CaptureCurrentForUndo();
-  ++epoch_;
-  if (in_transaction_ && txn_base_ != nullptr) {
-    current_ = *txn_base_;
-  } else if (!committed_.empty()) {
-    current_ = *committed_.back();
+  if (restore != nullptr) {
+    CaptureByDisplacement();
+    current_ = *restore;
+    image_ = std::move(restore);
   }
+  ++epoch_;
   steps_.clear();
   txn_base_.reset();
   in_transaction_ = false;
@@ -138,7 +168,7 @@ void VersionedTable::Abort() {
 
 VersionedTable::DurableState VersionedTable::SaveDurableState() const {
   DurableState state;
-  state.current = current_;
+  state.current = CurrentImage();
   state.committed = committed_;  // shared_ptr copies; versions are immutable
   state.steps = steps_;
   state.txn_base = txn_base_;
@@ -148,7 +178,8 @@ VersionedTable::DurableState VersionedTable::SaveDurableState() const {
 }
 
 void VersionedTable::RestoreDurableState(DurableState state) {
-  current_ = std::move(state.current);
+  current_ = *state.current;
+  image_ = std::move(state.current);
   committed_ = std::move(state.committed);
   steps_ = std::move(state.steps);
   txn_base_ = std::move(state.txn_base);
@@ -160,7 +191,7 @@ void VersionedTable::RestoreDurableState(DurableState state) {
 }
 
 Result<TablePtr> VersionedTable::Version(size_t k) const {
-  if (k == 0) return MakeTablePtr(current_);
+  if (k == 0) return CurrentImage();
   if (k > committed_.size()) {
     return Status::NotFound("table '" + name_ + "' has no version @vnow-" +
                             std::to_string(k) + " (history depth " +
@@ -170,7 +201,7 @@ Result<TablePtr> VersionedTable::Version(size_t k) const {
 }
 
 Result<TablePtr> VersionedTable::StepVersion(size_t j) const {
-  if (j == 0) return MakeTablePtr(current_);
+  if (j == 0) return CurrentImage();
   if (!in_transaction_) {
     return MakeTablePtr(Table(declared_schema_));
   }

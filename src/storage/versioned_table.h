@@ -23,13 +23,20 @@ namespace dvms {
 ///
 /// Committed history is capped; old versions are discarded FIFO.
 ///
+/// Shared images: every version, undo entry, published epoch and scan of
+/// the working state is the same immutable TablePtr, CurrentImage(). It is
+/// made (one copy of the working state) on first use after a mutation and
+/// dropped by every mutator, so a relation that no interaction changes
+/// keeps one image however many versions refer to it.
+///
 /// Undo capture (interaction rollback): between ArmUndo() and
 /// DisarmUndo()/RollbackUndo(), the first mutation of the working state and
 /// the first mutation of the version metadata each snapshot the
 /// pre-mutation state lazily, so an engine-level statement batch can be
 /// rolled back to a bit-identical pre-batch state on any mid-batch error.
-/// The fault-free cost is near zero: unmutated tables snapshot nothing, and
-/// SetCurrent captures by *moving* the displaced working state.
+/// The fault-free cost is near zero: unmutated tables snapshot nothing, the
+/// working-state capture is the current image, and SetCurrent captures by
+/// *moving* the displaced working state when no image exists.
 class VersionedTable {
  public:
   VersionedTable(std::string name, Schema schema, size_t max_history = 16);
@@ -40,17 +47,32 @@ class VersionedTable {
   /// The current working state (uncommitted if a transaction is open).
   const Table& current() const { return current_; }
 
+  /// The working state as a shared immutable image: made on the first call
+  /// after a mutation, then returned as the same pointer until the next
+  /// one. Call only under the engine write lock (it may fill the cache).
+  const TablePtr& CurrentImage() const;
+
   /// Mutable working-state access. Counts as a mutation for undo capture
-  /// (the pre-mutation state is snapshotted if capture is armed).
+  /// (the pre-mutation state is snapshotted if capture is armed) and drops
+  /// the current image. Do not hold the reference across a call that makes
+  /// an image (Commit, RecordStep, Version(0), a publish or a scan): later
+  /// writes through it would not reach that image.
   Table& mutable_current() {
     CaptureCurrentForUndo();
     ++epoch_;
+    image_.reset();
     return current_;
   }
 
   /// Replaces the working state. The schema of `t` must be union-compatible
   /// with the declared schema.
   Status SetCurrent(Table t);
+
+  /// Replaces the working state with an earlier CurrentImage() of this
+  /// relation (interaction undo), which becomes the current image again:
+  /// versions taken before the next mutation share it. Errors like
+  /// SetCurrent if the image is not union-compatible.
+  Status SetCurrentImage(TablePtr image);
 
   /// Appends a row to the working state (validated). Subject to
   /// FaultSite::kStorageAppend injection.
@@ -113,7 +135,7 @@ class VersionedTable {
   /// deliberately excluded — snapshots are taken between mutation units,
   /// when capture is disarmed.
   struct DurableState {
-    Table current;
+    TablePtr current;                 // the current image; never null
     std::vector<TablePtr> committed;  // oldest first
     std::vector<TablePtr> steps;      // oldest first
     TablePtr txn_base;                // null when no transaction is open
@@ -126,7 +148,8 @@ class VersionedTable {
   /// Installs `state` wholesale (row contents are trusted; callers decode
   /// through the validating snapshot codec). The declared schema keeps the
   /// value it was constructed with — recovery recreates the table from its
-  /// DDL before overlaying state.
+  /// DDL before overlaying state. `state.current` becomes the current
+  /// image, so versions the decoder shared stay shared.
   void RestoreDurableState(DurableState state);
 
   size_t max_history() const { return max_history_; }
@@ -147,8 +170,9 @@ class VersionedTable {
   // Cheap structural access for SnapshotManager::Publish, which freezes a
   // relation's full version history into an immutable RelationSnapshot at
   // the end of a mutation unit (under the engine write lock). The shared
-  // TablePtr histories make this O(history length), not O(rows); only the
-  // working state is deep-copied, and only for relations whose epoch moved.
+  // TablePtr histories make this O(history length), not O(rows); the
+  // working state is CurrentImage(), a copy only when no version, scan or
+  // earlier publish has made it since the last mutation.
 
   const Schema& declared_schema() const { return declared_schema_; }
   const std::vector<TablePtr>& committed_versions() const { return committed_; }
@@ -165,11 +189,17 @@ class VersionedTable {
   };
 
   void CaptureCurrentForUndo();
+  /// Capture for a mutator that replaces current_ wholesale: keeps the
+  /// image or moves current_ out, never copies.
+  void CaptureByDisplacement();
   void CaptureMetaForUndo();
 
   std::string name_;
   Schema declared_schema_;
   Table current_;
+  /// CurrentImage()'s cache: an immutable copy of current_, or null after
+  /// a mutation. Written only under the engine write lock.
+  mutable TablePtr image_;
   std::vector<TablePtr> committed_;  // oldest first
   std::vector<TablePtr> steps_;      // oldest first, within transaction
   TablePtr txn_base_;
@@ -178,7 +208,7 @@ class VersionedTable {
   uint64_t epoch_ = 0;
   bool undo_armed_ = false;
   uint64_t undo_epoch_ = 0;  // epoch at first capture of this arm cycle
-  std::optional<Table> undo_current_;
+  TablePtr undo_current_;    // pre-mutation image; null until captured
   std::optional<UndoMeta> undo_meta_;
 };
 

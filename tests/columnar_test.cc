@@ -1,7 +1,8 @@
 // Columnar storage coverage: ColumnVec encoding decisions, the
 // row->columnar->row property round-trip, ragged-table preservation,
 // multiset SameContents, the columnar snapshot codec (both directions plus
-// row-store-era compatibility), and the vectorized-vs-row executor
+// recovery of checked-in v1 data directories, columnar and row-store era),
+// and the vectorized-vs-row executor
 // differential — bit-identical tables, pixels, and lineage at 1 and 4
 // threads, including a full corpus replay through both paths.
 
@@ -16,6 +17,7 @@
 #include <fstream>
 #include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -25,6 +27,7 @@
 #include "common/thread_pool.h"
 #include "core/dvms.h"
 #include "durability/codec.h"
+#include "durability/manager.h"
 #include "parser/parser.h"
 #include "parser/planner.h"
 #include "query/binder.h"
@@ -383,20 +386,6 @@ TEST(ColumnarCodecTest, BytesIndependentOfProcessDictionaryHistory) {
   EXPECT_EQ(w1.data(), w2.data());
 }
 
-TEST(ColumnarCodecTest, LegacyEnvKnobForcesRowFormat) {
-  Table t = MakeTypedTable(64);
-  BinaryWriter legacy;
-  EncodeTableLegacy(t, &legacy);
-  ::setenv("DVMS_SNAPSHOT_LEGACY", "1", 1);
-  BinaryWriter forced;
-  EncodeTable(t, &forced);
-  ::unsetenv("DVMS_SNAPSHOT_LEGACY");
-  EXPECT_EQ(forced.data(), legacy.data());
-  BinaryWriter columnar;
-  EncodeTable(t, &columnar);
-  EXPECT_NE(columnar.data(), legacy.data());
-}
-
 TEST(ColumnarCodecTest, TruncatedColumnarPayloadFailsCleanly) {
   Table t = MakeTypedTable(64);
   BinaryWriter w;
@@ -666,7 +655,7 @@ TEST(ColumnarEngineDifferentialTest, CorpusReplayMatchesRowPath) {
   EXPECT_GE(loaded, 5u);
 }
 
-// ---- Recovery from a row-store-era snapshot + WAL ------------------------
+// ---- Recovery from checked-in v1 data directories --------------------------
 
 class TempDir {
  public:
@@ -688,22 +677,6 @@ class TempDir {
   fs::path path_;
 };
 
-const char* kRecoveryProgram = R"(
-  C = EVENT MOUSE_DOWN AS D, MOUSE_MOVE* AS M, MOUSE_UP AS U
-      RETURN (D.t, D.x AS x, D.x AS x2),
-             (M.t, D.x AS x, M.x AS x2);
-  C_RANGE = SELECT min2(x, x2) AS lo, max2(x, x2) AS hi
-    FROM C ORDER BY t DESC LIMIT 1;
-  picked = SELECT p.id AS id, p.v AS v
-    FROM C_RANGE, Pts AS p
-    WHERE p.px >= C_RANGE.lo AND p.px <= C_RANGE.hi;
-  MARKS = SELECT 4 AS radius, 'red' AS fill,
-      linear_scale(k.v, 0, 100, 0, 180) AS center_x,
-      linear_scale(k.id, 0, 24, 0, 120) AS center_y
-    FROM picked AS k;
-  P = render(SELECT * FROM MARKS);
-)";
-
 std::unique_ptr<Dvms> MakeRecoveryEngine(const std::string& data_dir) {
   Dvms::Options options;
   options.canvas_width = 200;
@@ -715,59 +688,154 @@ std::unique_ptr<Dvms> MakeRecoveryEngine(const std::string& data_dir) {
   return std::make_unique<Dvms>(options);
 }
 
-TEST(ColumnarRecoveryTest, RowStoreEraSnapshotAndWalRecover) {
-  // A snapshot written in the pre-columnar row-wise format (forced via
-  // DVMS_SNAPSHOT_LEGACY) plus a WAL suffix recovers bit-identically into
-  // the columnar engine, and the next checkpoint upgrades the snapshot to
-  // the columnar format without changing the recovered state.
-  TempDir dir("rowstore_era");
-  std::string want;
-  PixelBuffer want_pixels(1, 1);
-  ::setenv("DVMS_SNAPSHOT_LEGACY", "1", 1);
+uint64_t Fnv1a(const std::string& bytes,
+               uint64_t h = 1469598103934665603ull) {
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+void DumpTable(const Table& t, std::ostringstream& out) {
+  for (size_t c = 0; c < t.schema().num_columns(); ++c) {
+    out << t.schema().column(c).name << "|";
+  }
+  out << "\n";
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    for (const Value& v : t.row(r)) out << v.ToString() << "|";
+    out << "\n";
+  }
+}
+
+/// Every relation's working state, committed versions, steps, transaction
+/// base and epoch, plus the engine counters: the whole durable image an
+/// old data directory must reproduce.
+std::string DeepFingerprint(const Dvms& engine) {
+  std::ostringstream out;
+  for (const std::string& name : engine.catalog().Names()) {
+    auto table = engine.catalog().Get(name);
+    if (!table.ok()) continue;
+    const VersionedTable& vt = *table.value();
+    out << "== " << name << " epoch " << vt.epoch() << " txn "
+        << vt.in_transaction() << " ==\n";
+    DumpTable(vt.current(), out);
+    for (const TablePtr& v : vt.committed_versions()) {
+      out << "-- committed\n";
+      DumpTable(*v, out);
+    }
+    for (const TablePtr& v : vt.step_versions()) {
+      out << "-- step\n";
+      DumpTable(*v, out);
+    }
+    if (vt.transaction_base() != nullptr) {
+      out << "-- base\n";
+      DumpTable(*vt.transaction_base(), out);
+    }
+  }
+  out << engine.DumpState();
+  return out.str();
+}
+
+uint64_t PixelHash(const PixelBuffer& p) {
+  std::string bytes = std::to_string(p.width()) + "x" +
+                      std::to_string(p.height());
+  for (size_t y = 0; y < p.height(); ++y) {
+    for (size_t x = 0; x < p.width(); ++x) {
+      RGBA c = p.At(static_cast<int64_t>(x), static_cast<int64_t>(y));
+      bytes.push_back(static_cast<char>(c.r));
+      bytes.push_back(static_cast<char>(c.g));
+      bytes.push_back(static_cast<char>(c.b));
+      bytes.push_back(static_cast<char>(c.a));
+    }
+  }
+  return Fnv1a(bytes);
+}
+
+/// Undoes to the start of the interaction history, hashing the full state
+/// and pixels after every step: the undo history's images, in order.
+uint64_t UndoWalkHash(Dvms& engine) {
+  uint64_t h = Fnv1a("undo-walk");
+  while (engine.CanUndo()) {
+    Status st = engine.Undo();
+    EXPECT_TRUE(st.ok()) << st.message();
+    if (!st.ok()) return 0;
+    h = Fnv1a(DeepFingerprint(engine), h);
+    h ^= PixelHash(engine.pixels());
+  }
+  return h;
+}
+
+std::string Hex(uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+/// fixtures/v1_recorded.txt: "<name> <hex>" lines recorded when the
+/// fixtures were written (fingerprint, pixels, undo_walk).
+std::map<std::string, std::string> ReadRecordedHashes() {
+  std::map<std::string, std::string> out;
+  std::ifstream in(fs::path(DVMS_TEST_FIXTURE_DIR) / "v1_recorded.txt");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream fields(line);
+    std::string name, hex;
+    fields >> name >> hex;
+    out[name] = hex;
+  }
+  return out;
+}
+
+/// Opens a copy of a checked-in data directory written with v1 snapshots
+/// (a snapshot with a full undo history, an open interaction, and a WAL
+/// suffix), checks the recorded state, checkpoints (writing v2), reopens,
+/// and checks again — including a walk through the whole undo history.
+void CheckV1DataDirectory(const std::string& fixture) {
+  SCOPED_TRACE(fixture);
+  std::map<std::string, std::string> want = ReadRecordedHashes();
+  ASSERT_EQ(want.size(), 3u);
+  TempDir dir(fixture);
+  fs::copy(fs::path(DVMS_TEST_FIXTURE_DIR) / fixture, dir.str(),
+           fs::copy_options::recursive);
   {
     auto engine = MakeRecoveryEngine(dir.str());
-    ASSERT_TRUE(engine->recovery_status().ok());
-    Schema schema({{"id", ValueType::kInt64},
-                   {"v", ValueType::kDouble},
-                   {"px", ValueType::kDouble}});
-    ASSERT_TRUE(engine->CreateBaseTable("Pts", schema).ok());
-    std::vector<Row> rows;
-    for (int i = 0; i < 24; ++i) {
-      rows.push_back({Value::Int(i), Value::Double((i * 37) % 100),
-                      Value::Double(5.0 + i * 8.0)});
-    }
-    ASSERT_TRUE(engine->Insert("Pts", rows).ok());
-    ASSERT_TRUE(engine->LoadProgram(kRecoveryProgram).ok());
-    ASSERT_TRUE(engine->PushEvent(InputEvent::MouseDown(0, 40, 50)).ok());
-    ASSERT_TRUE(engine->PushEvent(InputEvent::MouseMove(1, 90, 50)).ok());
-    ASSERT_TRUE(engine->PushEvent(InputEvent::MouseUp(2, 90, 50)).ok());
-    // Row-format snapshot, then more committed work into the WAL suffix.
+    ASSERT_TRUE(engine->recovery_status().ok())
+        << engine->recovery_status().message();
+    EXPECT_TRUE(engine->durability_stats().recovered_from_snapshot);
+    EXPECT_GT(engine->durability_stats().frames_replayed, 0u);
+    EXPECT_EQ(Hex(Fnv1a(DeepFingerprint(*engine))), want["fingerprint"]);
+    EXPECT_EQ(Hex(PixelHash(engine->pixels())), want["pixels"]);
     ASSERT_TRUE(engine->Checkpoint().ok());
-    ASSERT_TRUE(engine
-                    ->Insert("Pts", {{Value::Int(100), Value::Double(55),
-                                      Value::Double(60.0)}})
-                    .ok());
-    ASSERT_TRUE(engine->PushEvent(InputEvent::MouseDown(3, 20, 40)).ok());
-    ASSERT_TRUE(engine->PushEvent(InputEvent::MouseUp(4, 160, 40)).ok());
-    want = Fingerprint(*engine);
-    want_pixels = engine->pixels();
   }
-  ::unsetenv("DVMS_SNAPSHOT_LEGACY");
+  Result<std::vector<uint64_t>> snaps = ListWalSnapshots(dir.str());
+  ASSERT_TRUE(snaps.ok());
+  ASSERT_FALSE(snaps.value().empty());
+  auto file =
+      ReadSnapshotFile(WalSnapshotPath(dir.str(), snaps.value().back()));
+  ASSERT_TRUE(file.ok()) << file.status().message();
+  ASSERT_FALSE(file.value().second.empty());
+  EXPECT_EQ(static_cast<uint8_t>(file.value().second[0]), 2u);  // v2 payload
 
-  auto recovered = MakeRecoveryEngine(dir.str());
-  ASSERT_TRUE(recovered->recovery_status().ok())
-      << recovered->recovery_status().message();
-  EXPECT_EQ(Fingerprint(*recovered), want);
-  EXPECT_TRUE(PixelsBitIdentical(recovered->pixels(), want_pixels));
-  // Columnar checkpoint over the recovered state...
-  ASSERT_TRUE(recovered->Checkpoint().ok());
-  recovered.reset();
-  // ...recovers again, still bit-identical.
   auto again = MakeRecoveryEngine(dir.str());
   ASSERT_TRUE(again->recovery_status().ok())
       << again->recovery_status().message();
-  EXPECT_EQ(Fingerprint(*again), want);
-  EXPECT_TRUE(PixelsBitIdentical(again->pixels(), want_pixels));
+  EXPECT_TRUE(again->durability_stats().recovered_from_snapshot);
+  EXPECT_EQ(Hex(Fnv1a(DeepFingerprint(*again))), want["fingerprint"]);
+  EXPECT_EQ(Hex(PixelHash(again->pixels())), want["pixels"]);
+  EXPECT_EQ(Hex(UndoWalkHash(*again)), want["undo_walk"]);
+}
+
+TEST(ColumnarRecoveryTest, RowStoreEraSnapshotAndWalRecover) {
+  // Row-wise tables throughout the snapshot (the pre-columnar format).
+  CheckV1DataDirectory("v1_rowstore");
+}
+
+TEST(ColumnarRecoveryTest, ColumnarV1SnapshotAndWalRecover) {
+  // Columnar tables, each copy inline (the format before the table pool).
+  CheckV1DataDirectory("v1_columnar");
 }
 
 }  // namespace

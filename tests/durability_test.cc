@@ -26,6 +26,7 @@
 #include "durability/tailer.h"
 #include "durability/wal.h"
 #include "parser/parser.h"
+#include "workload/tpch.h"
 #include "gtest/gtest.h"
 
 namespace dvms {
@@ -975,6 +976,55 @@ TEST(SnapshotCodecTest, EngineSnapshotGarbageRejected) {
   EXPECT_EQ(out.last_lsn, 12u);
   EXPECT_EQ(out.counters.events_processed, 4u);
   EXPECT_FALSE(DecodeEngineSnapshot(bytes + "x").ok());
+
+  // A v2 payload: one relation whose working state, committed versions and
+  // undo entry are one table — shared, or a byte-equal copy — is one pool
+  // entry, and decoding shares it again.
+  Table t(Schema({{"id", ValueType::kInt64}}));
+  ASSERT_TRUE(t.Append({Value::Int(7)}).ok());
+  TablePtr image = MakeTablePtr(std::move(t));
+  EngineSnapshot shared;
+  EngineSnapshot::RelationState rel;
+  rel.name = "T";
+  rel.state.current = image;
+  rel.state.committed = {image, MakeTablePtr(Table(*image))};
+  shared.relations.push_back(rel);
+  shared.undo_history.push_back({{"T", image}});
+  const std::string v2 = EncodeEngineSnapshot(shared);
+  ASSERT_EQ(v2[0], 2);
+  EngineSnapshot decoded = DecodeEngineSnapshot(v2).value();
+  const VersionedTable::DurableState& state = decoded.relations[0].state;
+  EXPECT_EQ(state.committed[0], state.current);
+  EXPECT_EQ(state.committed[1], state.current);
+  EXPECT_EQ(decoded.undo_history[0][0].second, state.current);
+  // The bytes depend on contents only, not on which images share a pointer.
+  EngineSnapshot copies = shared;
+  copies.relations[0].state.current = MakeTablePtr(Table(*image));
+  copies.undo_history[0][0].second = MakeTablePtr(Table(*image));
+  EXPECT_EQ(EncodeEngineSnapshot(copies), v2);
+
+  // Layout: u8 version, u64 last_lsn, u32 pool count, the pool's one
+  // table, u32 definition count, u32 relation count, the name, then the
+  // working state's u32 pool index.
+  BinaryWriter one;
+  EncodeTable(*image, &one);
+  const size_t pool_count_at = 1 + 8;
+  const size_t current_at = pool_count_at + 4 + one.size() + 4 + 4 + 4 + 1;
+  auto patch_u32 = [](std::string bytes, size_t at, uint32_t v) {
+    for (int i = 0; i < 4; ++i) bytes[at + i] = static_cast<char>(v >> (8 * i));
+    return bytes;
+  };
+  ASSERT_EQ(patch_u32(v2, current_at, 0), v2);  // index 0, as expected
+  Result<EngineSnapshot> bad_index =
+      DecodeEngineSnapshot(patch_u32(v2, current_at, 5));
+  ASSERT_FALSE(bad_index.ok());
+  EXPECT_NE(bad_index.status().message().find("out of range"),
+            std::string::npos);
+  Result<EngineSnapshot> bad_pool =
+      DecodeEngineSnapshot(patch_u32(v2, pool_count_at, 1u << 20));
+  ASSERT_FALSE(bad_pool.ok());
+  EXPECT_NE(bad_pool.status().message().find("table-pool count"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -1176,6 +1226,63 @@ TEST(EngineRecoveryTest, CheckpointThenRecoverMatchesLogOnlyRecovery) {
     EXPECT_FALSE(recovered->durability_stats().recovered_from_snapshot);
     EXPECT_EQ(Fingerprint(*recovered), fp_log);
   }
+}
+
+TEST(EngineRecoveryTest, UnchangedBaseTableIsStoredOncePerSnapshot) {
+  // A 20k-row base table that no interaction changes is one image shared
+  // by the working state, all 16 committed versions and all 32 undo
+  // entries, so a snapshot after 40 committed brushes holds it once
+  // (it held 49 copies when every version was a deep copy).
+  TempDir dir("recover_shared_images");
+  TpchConfig config;
+  config.num_rows = 20000;
+  Table sales = GenerateTpchSales(config);
+  BinaryWriter one;
+  EncodeTable(sales, &one);
+  const char* program = R"(
+    C = EVENT MOUSE_DOWN AS D, MOUSE_MOVE* AS M, MOUSE_UP AS U
+        RETURN (D.t, D.x AS x, D.x AS x2), (M.t, D.x AS x, M.x AS x2);
+    C_RANGE = SELECT min2(x, x2) AS lo, max2(x, x2) AS hi
+      FROM C ORDER BY t DESC LIMIT 1;
+    rev_region = SELECT region, SUM(revenue) AS revenue FROM Sales
+      GROUP BY region;
+    MARKS = SELECT 4 AS radius, 'red' AS fill, lo AS center_x,
+        hi / 2 AS center_y
+      FROM C_RANGE;
+    P = render(SELECT * FROM MARKS);
+  )";
+  std::string want;
+  PixelBuffer want_pixels(1, 1);
+  {
+    auto engine = MakeEngine(dir.str());
+    ASSERT_TRUE(engine->CreateBaseTable("Sales", sales.schema()).ok());
+    ASSERT_TRUE(engine->Insert("Sales", sales.rows()).ok());
+    ASSERT_TRUE(engine->LoadProgram(program).ok());
+    for (int64_t i = 0; i < 40; ++i) {
+      const int64_t x = 10 + (i * 13) % 150;
+      ASSERT_TRUE(engine->PushEvent(InputEvent::MouseDown(3 * i, x, 40)).ok());
+      ASSERT_TRUE(
+          engine->PushEvent(InputEvent::MouseMove(3 * i + 1, x + 20, 40)).ok());
+      ASSERT_TRUE(
+          engine->PushEvent(InputEvent::MouseUp(3 * i + 2, x + 30, 40)).ok());
+    }
+    ASSERT_TRUE(engine->Checkpoint().ok());
+    want = Fingerprint(*engine);
+    want_pixels = engine->pixels();
+  }
+  Result<std::vector<uint64_t>> snaps = ListWalSnapshots(dir.str());
+  ASSERT_TRUE(snaps.ok());
+  ASSERT_EQ(snaps.value().size(), 1u);
+  auto file = ReadSnapshotFile(WalSnapshotPath(dir.str(), snaps.value()[0]));
+  ASSERT_TRUE(file.ok()) << file.status().message();
+  EXPECT_LT(file.value().second.size(), 2 * one.size());
+
+  auto recovered = MakeEngine(dir.str());
+  ASSERT_TRUE(recovered->recovery_status().ok())
+      << recovered->recovery_status().message();
+  EXPECT_TRUE(recovered->durability_stats().recovered_from_snapshot);
+  EXPECT_EQ(Fingerprint(*recovered), want);
+  EXPECT_TRUE(recovered->pixels().Equals(want_pixels));
 }
 
 TEST(EngineRecoveryTest, VersionedReadsWorkAgainstRecoveredInstance) {

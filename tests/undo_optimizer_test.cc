@@ -1,12 +1,40 @@
 // Interplay of engine features: undo/redo over optimizer-adopted views,
-// and rendering correctness after history navigation.
+// rendering correctness after history navigation, and undo over relation
+// images shared by versions, undo entries and pinned sessions.
+
+#include <cstdint>
+#include <cstring>
+#include <sstream>
+#include <string>
 
 #include "core/dvms.h"
+#include "core/session.h"
+#include "parser/parser.h"
 #include "workload/tpch.h"
 #include "gtest/gtest.h"
 
 namespace dvms {
 namespace {
+
+/// Row contents with doubles as raw bit patterns, in row order.
+std::string Bits(const Table& t) {
+  std::ostringstream out;
+  for (const Row& row : t.rows()) {
+    for (const Value& v : row) {
+      if (v.type() == ValueType::kDouble) {
+        double d = v.double_value();
+        uint64_t bits;
+        std::memcpy(&bits, &d, sizeof(bits));
+        out << "d" << bits;
+      } else {
+        out << v.ToString();
+      }
+      out << '|';
+    }
+    out << '\n';
+  }
+  return out.str();
+}
 
 TEST(UndoOptimizerTest, UndoRestoresAdoptedViewContents) {
   Dvms::Options options;
@@ -93,6 +121,61 @@ TEST(UndoOptimizerTest, RenderReflectsUndo) {
   EXPECT_EQ(engine.pixels().At(30, 30), blue);
   ASSERT_TRUE(engine.Redo().ok());
   EXPECT_EQ(engine.pixels().At(30, 30), red);
+}
+
+TEST(UndoOptimizerTest, DeleteLeavesSharedImageIntact) {
+  // Sales never changes across the load commit and one gesture, so its
+  // working state, @vnow-1, @vnow-2 and both undo entries are one shared
+  // image, also held by a pinned session. A Delete replaces the working
+  // state and must leave all of them untouched; Undo then restores the
+  // pre-delete rows bit-identically.
+  Dvms::Options options;
+  options.auto_render = false;
+  Dvms engine(options);
+  TpchConfig config;
+  config.num_rows = 500;
+  Table fact = GenerateTpchSales(config);
+  ASSERT_TRUE(engine.CreateBaseTable("Sales", fact.schema()).ok());
+  ASSERT_TRUE(engine.Insert("Sales", fact.rows()).ok());
+  ASSERT_TRUE(engine
+                  .LoadProgram(R"(
+    C = EVENT MOUSE_DOWN AS D, MOUSE_UP AS U RETURN (D.t, D.x, D.y);
+    by_region = SELECT region, SUM(revenue) AS revenue FROM Sales
+                GROUP BY region;
+  )")
+                  .ok());
+  ASSERT_TRUE(engine.PushEvent(InputEvent::MouseDown(0, 1, 1)).ok());
+  ASSERT_TRUE(engine.PushEvent(InputEvent::MouseUp(1, 1, 1)).ok());
+
+  const VersionedTable* sales = engine.catalog()->Get("Sales").value();
+  const TablePtr image = sales->Version(0).value();
+  ASSERT_EQ(sales->Version(1).value(), image);
+  ASSERT_EQ(sales->Version(2).value(), image);
+  const std::string before = Bits(*image);
+  Session pinned(&engine);
+  ASSERT_TRUE(pinned.Pin().ok());
+  auto pinned_before = pinned.Query("SELECT * FROM Sales");
+  ASSERT_TRUE(pinned_before.ok());
+  ASSERT_EQ(Bits(pinned_before.value()), before);
+
+  auto removed = engine.Delete("Sales", ParseExpression("year = 1992").value());
+  ASSERT_TRUE(removed.ok()) << removed.status().message();
+  ASSERT_GT(removed.value(), 0u);
+  EXPECT_EQ(engine.GetTable("Sales").value()->num_rows(),
+            image->num_rows() - removed.value());
+  EXPECT_EQ(Bits(*image), before);
+  EXPECT_EQ(sales->Version(1).value(), image);
+  auto vnow1 = engine.Query("SELECT * FROM Sales@vnow-1");
+  ASSERT_TRUE(vnow1.ok()) << vnow1.status().message();
+  EXPECT_EQ(Bits(vnow1.value()), before);
+  auto pinned_after = pinned.Query("SELECT * FROM Sales");
+  ASSERT_TRUE(pinned_after.ok());
+  EXPECT_EQ(Bits(pinned_after.value()), before);
+
+  // The previous undo entry is the same image: Undo brings it back.
+  ASSERT_TRUE(engine.Undo().ok());
+  EXPECT_EQ(Bits(*engine.GetTable("Sales").value()), before);
+  EXPECT_EQ(sales->Version(0).value(), image);
 }
 
 }  // namespace
