@@ -1,6 +1,7 @@
 #include "query/ivm.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/schema.h"
 #include "common/thread_pool.h"
@@ -12,23 +13,43 @@ namespace dvms {
 Result<CrossfilterCube> CrossfilterCube::Build(
     const Table& fact, const std::vector<std::string>& dims,
     const std::string& measure) {
-  if (dims.size() < 2) {
-    return Status::InvalidArgument(
-        "crossfilter needs at least two dimensions");
+  if (dims.empty()) {
+    return Status::InvalidArgument("crossfilter needs at least one dimension");
   }
   CrossfilterCube cube;
   cube.dims_ = dims;
-  cube.measure_ = measure;
   cube.fact_schema_ = fact.schema();
   for (const std::string& dim : dims) {
     DVMS_ASSIGN_OR_RETURN(size_t col, fact.schema().IndexOf(dim));
     cube.dim_cols_.push_back(col);
   }
   DVMS_ASSIGN_OR_RETURN(cube.measure_col_, fact.schema().IndexOf(measure));
-  cube.marginals_.resize(dims.size() * dims.size());
+  cube.totals_.resize(dims.size());
+  cube.pairs_.resize(dims.size() * dims.size());
   DVMS_RETURN_IF_ERROR(cube.Fold(fact));
   return cube;
 }
+
+namespace {
+
+/// The executor's SUM input: a numeric measure adds its value; any other
+/// non-NULL measure only counts.
+double MeasureAt(const ColumnVec& col, size_t i) {
+  switch (col.enc()) {
+    case ColumnVec::Enc::kInt64:
+      return static_cast<double>(col.ints()[i]);
+    case ColumnVec::Enc::kDouble:
+      return col.doubles()[i];
+    case ColumnVec::Enc::kBool:
+      return col.bools()[i] != 0 ? 1.0 : 0.0;
+    default: {
+      auto m = col.Get(i).AsDouble();
+      return m.ok() ? m.value() : 0.0;
+    }
+  }
+}
+
+}  // namespace
 
 Status CrossfilterCube::Fold(const Table& fact) {
   obs::Span span("ivm.fold");
@@ -39,11 +60,27 @@ Status CrossfilterCube::Fold(const Table& fact) {
   // folds into its own scratch marginal set (in parallel when threads are
   // available), then scratch sets merge into the cube in batch-index
   // order. Per-cell sums therefore depend only on the batch layout, never
-  // on thread count.
+  // on thread count, and a cell's first row is the earliest batch's.
   constexpr size_t kBatchRows = 4096;
   const size_t n = fact.num_rows();
+  const size_t base = rows_folded_;
   const size_t batches = MorselCount(n, kBatchRows);
-  std::vector<std::vector<Marginal>> partials(batches);
+  struct Partial {
+    std::vector<CellMap> totals;
+    std::vector<PairMarginal> pairs;
+  };
+  std::vector<Partial> partials(batches);
+  auto add_row = [](Cell* cell, size_t row, const Value& group, bool counted,
+                    double v) {
+    if (cell->rows++ == 0) {
+      cell->first_row = row;
+      cell->group = group;
+    }
+    if (counted) {
+      ++cell->non_null;
+      cell->sum += v;
+    }
+  };
   // Per-batch governor status: a deadline expiring mid-fold aborts within
   // one batch of work, and each batch charges its scratch marginals.
   std::vector<Status> batch_status(batches);
@@ -52,63 +89,51 @@ Status CrossfilterCube::Fold(const Table& fact) {
         Status& st = batch_status[r.index];
         st = governor::CheckPoint();
         if (!st.ok()) return;
-        std::vector<Marginal>& local = partials[r.index];
-        local.resize(d * d);
-        size_t touched = 0;
+        Partial& local = partials[r.index];
+        local.totals.resize(d);
+        local.pairs.resize(d * d);
         // Columnar fold: the measure reads straight off its typed column
         // and each dimension cell materializes once per row — the fact
         // table's row view is never built.
         const ColumnVec& mcol = fact.col(measure_col_);
         std::vector<Value> dvals(d);
         for (size_t ri = r.begin; ri < r.end; ++ri) {
-          if (mcol.IsNull(ri)) continue;  // NULL contributes nothing
-          double v;
-          switch (mcol.enc()) {
-            case ColumnVec::Enc::kInt64:
-              v = static_cast<double>(mcol.ints()[ri]);
-              break;
-            case ColumnVec::Enc::kDouble:
-              v = mcol.doubles()[ri];
-              break;
-            case ColumnVec::Enc::kBool:
-              v = mcol.bools()[ri] != 0 ? 1.0 : 0.0;
-              break;
-            default: {
-              auto m = mcol.Get(ri).AsDouble();
-              if (!m.ok()) continue;  // non-numeric contributes nothing
-              v = m.value();
-              break;
-            }
-          }
+          const bool counted = !mcol.IsNull(ri);
+          const double v = counted ? MeasureAt(mcol, ri) : 0.0;
+          const size_t row = base + ri;
           for (size_t i = 0; i < d; ++i) dvals[i] = fact.ValueAt(ri, dim_cols_[i]);
           for (size_t i = 0; i < d; ++i) {
             const Value& gval = dvals[i];
+            add_row(&local.totals[i][gval], row, gval, counted, v);
             for (size_t j = 0; j < d; ++j) {
               if (i == j) continue;
-              local[i * d + j].cells[gval][dvals[j]] += v;
+              add_row(&local.pairs[i * d + j][gval][dvals[j]], row, gval,
+                      counted, v);
             }
-            local[i * d + (i == 0 ? 1 : 0)].totals[gval] += v;
           }
-          touched += d * d;
         }
         // Upper bound on the cells this batch may have added (~48 bytes
         // per map node: key/value pair + bucket overhead).
-        st = governor::ChargeMemory(static_cast<int64_t>(touched) * 48);
+        st = governor::ChargeMemory(
+            static_cast<int64_t>((r.end - r.begin) * d * d) * 48);
       });
   for (Status& st : batch_status) {
     DVMS_RETURN_IF_ERROR(std::move(st));
   }
-  for (std::vector<Marginal>& local : partials) {
-    for (size_t k = 0; k < local.size(); ++k) {
-      for (auto& [gval, cells] : local[k].cells) {
-        CellMap& dst = marginals_[k].cells[gval];
-        for (auto& [fval, sum] : cells) dst[fval] += sum;
+  for (const Partial& local : partials) {
+    for (size_t i = 0; i < local.totals.size(); ++i) {
+      for (const auto& [gval, cell] : local.totals[i]) {
+        totals_[i][gval].Merge(cell);
       }
-      for (auto& [gval, sum] : local[k].totals) {
-        marginals_[k].totals[gval] += sum;
+    }
+    for (size_t k = 0; k < local.pairs.size(); ++k) {
+      for (const auto& [gval, cells] : local.pairs[k]) {
+        CellMap& dst = pairs_[k][gval];
+        for (const auto& [fval, cell] : cells) dst[fval].Merge(cell);
       }
     }
   }
+  rows_folded_ += n;
   return Status::OK();
 }
 
@@ -119,37 +144,34 @@ Status CrossfilterCube::Update(const Table& delta) {
   return Fold(delta);
 }
 
-Result<const CrossfilterCube::Marginal*> CrossfilterCube::FindMarginal(
-    const std::string& dim, const std::string& filter_dim) const {
-  size_t gi = dims_.size(), fi = dims_.size();
+Result<size_t> CrossfilterCube::DimIndex(const std::string& dim) const {
   for (size_t i = 0; i < dims_.size(); ++i) {
-    if (IdentEquals(dims_[i], dim)) gi = i;
-    if (IdentEquals(dims_[i], filter_dim)) fi = i;
+    if (IdentEquals(dims_[i], dim)) return i;
   }
-  if (gi == dims_.size()) {
-    return Status::NotFound("'" + dim + "' is not a crossfilter dimension");
-  }
-  if (fi == dims_.size()) {
-    return Status::NotFound("'" + filter_dim +
-                            "' is not a crossfilter dimension");
-  }
+  return Status::NotFound("'" + dim + "' is not a crossfilter dimension");
+}
+
+Result<const CrossfilterCube::PairMarginal*> CrossfilterCube::FindMarginal(
+    const std::string& dim, const std::string& filter_dim) const {
+  DVMS_ASSIGN_OR_RETURN(size_t gi, DimIndex(dim));
+  DVMS_ASSIGN_OR_RETURN(size_t fi, DimIndex(filter_dim));
   if (gi == fi) {
     return Status::InvalidArgument(
         "group and filter dimension must differ (crossfilter never filters "
         "a chart by its own dimension)");
   }
-  return &marginals_[gi * dims_.size() + fi];
+  return &pairs_[gi * dims_.size() + fi];
 }
 
 namespace {
 
-Table MakeSumsTable(std::vector<std::pair<Value, double>> rows) {
+Table MakeSumsTable(std::vector<std::pair<Value, Value>> rows) {
   std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
     return a.first.Compare(b.first) < 0;
   });
   Table out(Schema({{"value", ValueType::kNull}, {"total", ValueType::kDouble}}));
   for (auto& [value, total] : rows) {
-    out.AppendUnchecked({value, Value::Double(total)});
+    out.AppendUnchecked({std::move(value), std::move(total)});
   }
   return out;
 }
@@ -157,19 +179,11 @@ Table MakeSumsTable(std::vector<std::pair<Value, double>> rows) {
 }  // namespace
 
 Result<Table> CrossfilterCube::GroupTotals(const std::string& dim) const {
-  // Totals live on the (dim, other) marginal for an arbitrary other.
-  size_t gi = dims_.size();
-  for (size_t i = 0; i < dims_.size(); ++i) {
-    if (IdentEquals(dims_[i], dim)) gi = i;
-  }
-  if (gi == dims_.size()) {
-    return Status::NotFound("'" + dim + "' is not a crossfilter dimension");
-  }
-  const Marginal& marginal = marginals_[gi * dims_.size() + (gi == 0 ? 1 : 0)];
-  std::vector<std::pair<Value, double>> rows;
-  rows.reserve(marginal.totals.size());
-  for (const auto& [value, total] : marginal.totals) {
-    rows.emplace_back(value, total);
+  DVMS_ASSIGN_OR_RETURN(size_t gi, DimIndex(dim));
+  std::vector<std::pair<Value, Value>> rows;
+  rows.reserve(totals_[gi].size());
+  for (const auto& [value, cell] : totals_[gi]) {
+    rows.emplace_back(value, Value::Double(cell.sum));
   }
   return MakeSumsTable(std::move(rows));
 }
@@ -177,29 +191,51 @@ Result<Table> CrossfilterCube::GroupTotals(const std::string& dim) const {
 Result<Table> CrossfilterCube::FilteredGroupSums(const std::string& dim,
                                                  const std::string& filter_dim,
                                                  const ValueSet& values) const {
-  DVMS_ASSIGN_OR_RETURN(const Marginal* marginal,
+  DVMS_ASSIGN_OR_RETURN(const PairMarginal* pair,
                         FindMarginal(dim, filter_dim));
-  std::vector<std::pair<Value, double>> rows;
-  rows.reserve(marginal->cells.size());
-  for (const auto& [gval, cells] : marginal->cells) {
+  std::vector<std::pair<Value, Value>> rows;
+  rows.reserve(pair->size());
+  for (const auto& [gval, cells] : *pair) {
     double sum = 0;
     for (const Value& f : values) {
       auto it = cells.find(f);
-      if (it != cells.end()) sum += it->second;
+      if (it != cells.end()) sum += it->second.sum;
     }
-    rows.emplace_back(gval, sum);
+    rows.emplace_back(gval, Value::Double(sum));
   }
   return MakeSumsTable(std::move(rows));
 }
 
-size_t CrossfilterCube::num_cells() const {
-  size_t n = 0;
-  for (const Marginal& marginal : marginals_) {
-    for (const auto& [gval, cells] : marginal.cells) {
-      n += cells.size();
+Result<Table> CrossfilterCube::ViewSums(const std::string& dim,
+                                        const std::string& filter_dim,
+                                        const ValueSet* values) const {
+  DVMS_ASSIGN_OR_RETURN(size_t gi, DimIndex(dim));
+  std::vector<std::pair<Value, Value>> rows;
+  auto emit = [&rows](const Cell& cell) {
+    rows.emplace_back(cell.group, cell.non_null == 0
+                                      ? Value::Null()
+                                      : Value::Double(cell.sum));
+  };
+  if (values == nullptr) {
+    for (const auto& [value, cell] : totals_[gi]) emit(cell);
+  } else if (IdentEquals(dim, filter_dim)) {
+    for (const Value& v : *values) {
+      auto it = totals_[gi].find(v);
+      if (it != totals_[gi].end()) emit(it->second);
+    }
+  } else {
+    DVMS_ASSIGN_OR_RETURN(const PairMarginal* pair,
+                          FindMarginal(dim, filter_dim));
+    for (const auto& [gval, cells] : *pair) {
+      Cell acc;
+      for (const Value& v : *values) {
+        auto it = cells.find(v);
+        if (it != cells.end()) acc.Merge(it->second);
+      }
+      if (acc.rows > 0) emit(acc);
     }
   }
-  return n;
+  return MakeSumsTable(std::move(rows));
 }
 
 }  // namespace dvms

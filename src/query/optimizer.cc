@@ -82,10 +82,10 @@ bool CrossfilterOptimizer::TryAdopt(const std::string& view_name,
   if (!kind.ok() || kind.value() != RelationKind::kBase) return false;
   view.fact = child->relation;
   // Grouping or filtering on the measure column itself is out of scope.
-  if (IdentEquals(view.group_col, view.measure)) return false;
-  if (!view.filter_col.empty() &&
-      (IdentEquals(view.filter_col, view.group_col) ||
-       IdentEquals(view.filter_col, view.measure))) {
+  // Filtering on the group column is the 1-D case: the groups in the
+  // selection.
+  if (IdentEquals(view.group_col, view.measure) ||
+      IdentEquals(view.filter_col, view.measure)) {
     return false;
   }
 
@@ -111,21 +111,6 @@ Result<const CrossfilterCube*> CrossfilterOptimizer::GetOrBuildCube(
       !IdentEquals(view.filter_col, view.group_col)) {
     dims.push_back(view.filter_col);
   }
-  if (dims.size() < 2) {
-    // CrossfilterCube needs two dimensions; duplicate via any other fact
-    // column is wasteful, so pair the group dim with itself is invalid —
-    // instead reuse the group dim twice is rejected by Build. Use the
-    // measure as a throwaway second dim only if distinct; otherwise bail.
-    for (const Column& col : fact->schema().columns()) {
-      if (!IdentEquals(col.name, view.group_col)) {
-        dims.push_back(col.name);
-        break;
-      }
-    }
-    if (dims.size() < 2) {
-      return Status::Unsupported("fact table has a single column");
-    }
-  }
   DVMS_ASSIGN_OR_RETURN(
       CrossfilterCube cube,
       CrossfilterCube::Build(fact->current(), dims, view.measure));
@@ -144,26 +129,26 @@ Result<Table> CrossfilterOptimizer::Refresh(const std::string& view_name) {
   const AdoptedView& view = it->second;
   DVMS_ASSIGN_OR_RETURN(const CrossfilterCube* cube, GetOrBuildCube(view));
 
-  Table sums(Schema{});
-  if (view.filter_rel.empty()) {
-    DVMS_ASSIGN_OR_RETURN(sums, cube->GroupTotals(view.group_col));
-  } else {
+  // The selection set the scan's IN would probe: the first column's
+  // non-NULL values.
+  ValueSet values;
+  const ValueSet* filter = nullptr;
+  if (!view.filter_rel.empty()) {
     DVMS_ASSIGN_OR_RETURN(VersionedTable * selection,
                           catalog_->Get(view.filter_rel));
-    ValueSet values;
-    for (const Row& row : selection->current().rows()) {
-      if (!row[0].is_null()) values.insert(row[0]);
+    const Table& sel = selection->current();
+    if (sel.num_columns() == 0) {
+      return Status::ExecutionError("IN-relation '" + view.filter_rel +
+                                    "' has no columns");
     }
-    DVMS_ASSIGN_OR_RETURN(
-        sums, cube->FilteredGroupSums(view.group_col, view.filter_col, values));
-    // The scan-based plan produces no row for groups with no selected
-    // facts; drop the cube's zero rows to match.
-    Table nonzero(sums.schema());
-    for (const Row& row : sums.rows()) {
-      if (row[1].double_value() != 0.0) nonzero.AppendUnchecked(row);
+    const ColumnVec& first = sel.col(0);
+    for (size_t i = 0; i < sel.num_rows(); ++i) {
+      if (!first.IsNull(i)) values.insert(first.Get(i));
     }
-    sums = std::move(nonzero);
+    filter = &values;
   }
+  DVMS_ASSIGN_OR_RETURN(
+      Table sums, cube->ViewSums(view.group_col, view.filter_col, filter));
 
   // Shape the output to the view's column order and names.
   Schema schema;

@@ -21,11 +21,15 @@ namespace dvms {
 ///   SELECT g, SUM(m) FROM fact [WHERE f IN selection] GROUP BY g
 ///
 /// with `fact` a base relation, the optimizer adopts the view and
-/// maintains it from a precomputed 2-D marginal cube: a change to the
+/// maintains it from a precomputed marginal cube: a change to the
 /// `selection` relation refreshes the view by summing |selection| cube
-/// cells per group instead of rescanning the fact table. Cubes are shared
-/// across views over the same (fact, measure, dim pair) and are
-/// invalidated (lazily rebuilt) when the fact relation itself changes.
+/// cells per group instead of rescanning the fact table. A totals view
+/// (no WHERE) and a self-filtered view (f = g) read the 1-D marginal of g;
+/// any other f reads the 2-D marginal of (g, f). The refreshed view has
+/// the scan's rows: the same groups, and a NULL sum where the scan has
+/// one. Cubes are shared across views over the same (fact, measure, dims)
+/// and are invalidated (lazily rebuilt) when the fact relation itself
+/// changes.
 class CrossfilterOptimizer {
  public:
   explicit CrossfilterOptimizer(Catalog* catalog) : catalog_(catalog) {}
@@ -54,7 +58,8 @@ class CrossfilterOptimizer {
     std::string fact;        // base relation scanned
     std::string group_col;   // fact column grouped on
     std::string measure;     // fact column summed
-    std::string filter_col;  // fact column filtered (empty: totals view)
+    std::string filter_col;  // fact column filtered (empty: totals view;
+                             // group_col: self-filtered view)
     std::string filter_rel;  // selection relation (empty: totals view)
     // Output schema details (the planner emits Project(Aggregate(...))).
     std::string group_out;

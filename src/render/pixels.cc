@@ -1,5 +1,6 @@
 #include "render/pixels.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 
@@ -81,6 +82,24 @@ void PixelBuffer::Set(int64_t x, int64_t y, RGBA color) {
   pixels_[static_cast<size_t>(y) * width_ + static_cast<size_t>(x)] = color;
 }
 
+namespace {
+
+/// Source-over of a translucent `color` onto `dst`.
+RGBA BlendOver(RGBA dst, RGBA color) {
+  double sa = color.a / 255.0;
+  double da = dst.a / 255.0;
+  double out_a = sa + da * (1 - sa);
+  auto mix = [sa, da, out_a](uint8_t s, uint8_t d) {
+    if (out_a <= 0) return static_cast<uint8_t>(0);
+    double v = (s * sa + d * da * (1 - sa)) / out_a;
+    return static_cast<uint8_t>(v + 0.5);
+  };
+  return RGBA{mix(color.r, dst.r), mix(color.g, dst.g), mix(color.b, dst.b),
+              static_cast<uint8_t>(out_a * 255 + 0.5)};
+}
+
+}  // namespace
+
 void PixelBuffer::Blend(int64_t x, int64_t y, RGBA color) {
   if (x < 0 || y < 0 || static_cast<size_t>(x) >= width_ ||
       static_cast<size_t>(y) >= height_) {
@@ -91,18 +110,20 @@ void PixelBuffer::Blend(int64_t x, int64_t y, RGBA color) {
     return;
   }
   if (color.a == 0) return;
-  RGBA dst = At(x, y);
-  double sa = color.a / 255.0;
-  double da = dst.a / 255.0;
-  double out_a = sa + da * (1 - sa);
-  auto mix = [sa, da, out_a](uint8_t s, uint8_t d) {
-    if (out_a <= 0) return static_cast<uint8_t>(0);
-    double v = (s * sa + d * da * (1 - sa)) / out_a;
-    return static_cast<uint8_t>(v + 0.5);
-  };
-  Set(x, y,
-      RGBA{mix(color.r, dst.r), mix(color.g, dst.g), mix(color.b, dst.b),
-           static_cast<uint8_t>(out_a * 255 + 0.5)});
+  Set(x, y, BlendOver(At(x, y), color));
+}
+
+void PixelBuffer::BlendSpan(int64_t y, int64_t x0, int64_t x1, RGBA color) {
+  if (color.a == 0 || y < 0 || static_cast<size_t>(y) >= height_) return;
+  x0 = std::max<int64_t>(x0, 0);
+  x1 = std::min<int64_t>(x1, static_cast<int64_t>(width_) - 1);
+  if (x0 > x1) return;
+  RGBA* row = pixels_.data() + static_cast<size_t>(y) * width_;
+  if (color.a == 255) {
+    std::fill(row + x0, row + x1 + 1, color);
+    return;
+  }
+  for (int64_t x = x0; x <= x1; ++x) row[x] = BlendOver(row[x], color);
 }
 
 Table PixelBuffer::ToRelation(bool skip_transparent) const {

@@ -42,6 +42,11 @@ class PixelBuffer {
   /// Source-over alpha blend of `color` onto (x, y).
   void Blend(int64_t x, int64_t y, RGBA color);
 
+  /// Blend() onto row y from x0 to x1 inclusive, clipped to the buffer
+  /// once: an opaque color fills the span, a translucent one blends each
+  /// pixel with Blend's math, so the pixels equal a per-pixel loop's.
+  void BlendSpan(int64_t y, int64_t x0, int64_t x1, RGBA color);
+
   /// Materializes P as a relation with columns (x INT, y INT, r INT, g INT,
   /// b INT, a INT). `skip_transparent` drops fully transparent pixels.
   Table ToRelation(bool skip_transparent = true) const;

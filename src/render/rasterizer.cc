@@ -48,11 +48,15 @@ namespace {
 /// The fill/outline routines are templated on a blend target so the exact
 /// same pixel math runs for whole-buffer serial drawing and for
 /// row-band-clipped parallel drawing: a band replays the op and the target
-/// drops writes outside its rows.
+/// drops writes outside its rows. Fills emit one span per row; outlines
+/// and lines blend single pixels.
 struct FullTarget {
   PixelBuffer* buf;
   void Blend(int64_t x, int64_t y, RGBA color) const {
     buf->Blend(x, y, color);
+  }
+  void BlendSpan(int64_t y, int64_t x0, int64_t x1, RGBA color) const {
+    buf->BlendSpan(y, x0, x1, color);
   }
 };
 
@@ -62,6 +66,9 @@ struct BandTarget {
   int64_t y_end;  // exclusive
   void Blend(int64_t x, int64_t y, RGBA color) const {
     if (y >= y_begin && y < y_end) buf->Blend(x, y, color);
+  }
+  void BlendSpan(int64_t y, int64_t x0, int64_t x1, RGBA color) const {
+    if (y >= y_begin && y < y_end) buf->BlendSpan(y, x0, x1, color);
   }
 };
 
@@ -78,7 +85,7 @@ void FillCircleT(const Target& t, double cx, double cy, double radius,
     double dx = std::sqrt(span);
     int64_t x0 = static_cast<int64_t>(std::ceil(cx - dx));
     int64_t x1 = static_cast<int64_t>(std::floor(cx + dx));
-    for (int64_t x = x0; x <= x1; ++x) t.Blend(x, y, color);
+    t.BlendSpan(y, x0, x1, color);
   }
 }
 
@@ -109,9 +116,7 @@ void FillRectT(const Target& t, double x, double y, double w, double h,
   int64_t y0 = static_cast<int64_t>(std::lround(y));
   int64_t x1 = static_cast<int64_t>(std::lround(x + w)) - 1;
   int64_t y1 = static_cast<int64_t>(std::lround(y + h)) - 1;
-  for (int64_t yy = y0; yy <= y1; ++yy) {
-    for (int64_t xx = x0; xx <= x1; ++xx) t.Blend(xx, yy, color);
-  }
+  for (int64_t yy = y0; yy <= y1; ++yy) t.BlendSpan(yy, x0, x1, color);
 }
 
 template <typename Target>

@@ -105,10 +105,44 @@ TEST_F(CrossfilterCubeTest, UpdateFoldsDeltaRows) {
               before.row(asia)[1].double_value() + 1000.0, 1e-6);
 }
 
-TEST_F(CrossfilterCubeTest, BuildRequiresTwoDims) {
-  EXPECT_FALSE(CrossfilterCube::Build(fact_, {"region"}, "revenue").ok());
+TEST_F(CrossfilterCubeTest, BuildNeedsOneKnownDim) {
+  // One dimension builds the 1-D marginal: totals equal to a scan.
+  CrossfilterCube one =
+      CrossfilterCube::Build(fact_, {"region"}, "revenue").value();
+  Table totals = one.GroupTotals("region").value();
+  auto direct = DirectSums("region", "", nullptr);
+  ASSERT_EQ(totals.num_rows(), direct.size());
+  for (const Row& row : totals.rows()) {
+    EXPECT_NEAR(row[1].double_value(), direct[row[0].ToString()], 1e-6);
+  }
+  // It has no pair to filter by another dimension.
+  ValueSet years;
+  years.insert(Value::Int(1997));
+  EXPECT_FALSE(one.FilteredGroupSums("region", "year", years).ok());
+  // Zero dimensions and unknown columns are rejected.
+  EXPECT_FALSE(CrossfilterCube::Build(fact_, {}, "revenue").ok());
+  EXPECT_FALSE(CrossfilterCube::Build(fact_, {"nope"}, "revenue").ok());
   EXPECT_FALSE(
       CrossfilterCube::Build(fact_, {"region", "nope"}, "revenue").ok());
+  EXPECT_FALSE(CrossfilterCube::Build(fact_, {"region"}, "nope").ok());
+}
+
+TEST_F(CrossfilterCubeTest, ViewSumsSelectGroupsFromOneDim) {
+  CrossfilterCube one =
+      CrossfilterCube::Build(fact_, {"year"}, "revenue").value();
+  ValueSet years;
+  years.insert(Value::Int(1997));
+  years.insert(Value::Double(1993.0));  // matches the int key 1993
+  years.insert(Value::Int(2050));       // no facts: no row
+  Table sums = one.ViewSums("year", "year", &years).value();
+  auto direct = DirectSums("year", "year", &years);
+  ASSERT_EQ(sums.num_rows(), 2u);
+  EXPECT_EQ(sums.row(0)[0].type(), ValueType::kInt64);  // the fact's key
+  EXPECT_EQ(sums.row(0)[0].int_value(), 1993);
+  EXPECT_EQ(sums.row(1)[0].int_value(), 1997);
+  for (const Row& row : sums.rows()) {
+    EXPECT_NEAR(row[1].double_value(), direct[row[0].ToString()], 1e-6);
+  }
 }
 
 TEST(TpchGeneratorTest, DeterministicAndShaped) {

@@ -157,6 +157,90 @@ TEST_F(OptimizerTest, CubesSharedAcrossViews) {
   EXPECT_LE(engine_->optimizer().cube_count(), 2u);
 }
 
+TEST_F(OptimizerTest, AdoptsSelfFilteredViewSharingTotalsCube) {
+  ASSERT_TRUE(engine_
+                  ->LoadProgram(
+                      "rev_year = SELECT year, SUM(revenue) AS revenue "
+                      "FROM Sales GROUP BY year;"
+                      "rev_year_f = SELECT year, SUM(revenue) AS revenue "
+                      "FROM Sales WHERE year IN selected_years GROUP BY year;")
+                  .ok());
+  EXPECT_TRUE(engine_->optimizer().IsAdopted("rev_year_f"));
+  SelectYears({1993, 1997, 2050});
+  // Both views read the one 1-D marginal of year.
+  EXPECT_EQ(engine_->optimizer().cube_count(), 1u);
+  Table reference = Reference(
+      "SELECT year, SUM(revenue) AS revenue FROM Sales "
+      "WHERE year IN selected_years GROUP BY year");
+  const Table* optimized = engine_->GetTable("rev_year_f").value();
+  ASSERT_EQ(reference.num_rows(), 2u);
+  ASSERT_EQ(optimized->num_rows(), reference.num_rows());
+  for (size_t i = 0; i < reference.num_rows(); ++i) {
+    EXPECT_TRUE(optimized->row(i)[0].Equals(reference.row(i)[0]));
+    EXPECT_NEAR(optimized->row(i)[1].double_value(),
+                reference.row(i)[1].double_value(),
+                1e-9 * std::abs(reference.row(i)[1].double_value()));
+  }
+}
+
+// A cube-served view returns the scan's groups: a group whose selected
+// sum is 0.0 stays, and a group whose selected measures are all NULL
+// stays with a NULL sum.
+TEST(OptimizerGroupSetTest, CubeServedViewsKeepScanGroupsAndNulls) {
+  Dvms::Options options;
+  options.auto_render = false;
+  Dvms engine(options);
+  ASSERT_TRUE(engine
+                  .CreateBaseTable("F", Schema({{"region", ValueType::kString},
+                                                {"year", ValueType::kInt64},
+                                                {"revenue",
+                                                 ValueType::kDouble}}))
+                  .ok());
+  ASSERT_TRUE(engine
+                  .Insert("F", {{Value::String("A"), Value::Int(1997),
+                                 Value::Double(5.0)},
+                                {Value::String("B"), Value::Int(1997),
+                                 Value::Double(0.0)},
+                                {Value::String("C"), Value::Int(1997),
+                                 Value::Null()},
+                                {Value::String("D"), Value::Int(1997),
+                                 Value::Double(2.0)},
+                                {Value::String("D"), Value::Int(1997),
+                                 Value::Double(-2.0)},
+                                {Value::String("E"), Value::Int(1990),
+                                 Value::Double(1.0)}})
+                  .ok());
+  ASSERT_TRUE(
+      engine.CreateBaseTable("sel", Schema({{"year", ValueType::kInt64}}))
+          .ok());
+  ASSERT_TRUE(engine.Insert("sel", {{Value::Int(1997)}}).ok());
+  const char* kFiltered =
+      "SELECT region, SUM(revenue) AS revenue FROM F "
+      "WHERE year IN sel GROUP BY region";
+  const char* kTotals =
+      "SELECT region, SUM(revenue) AS revenue FROM F GROUP BY region";
+  ASSERT_TRUE(engine
+                  .LoadProgram(std::string("filtered = ") + kFiltered +
+                               ";\ntotals = " + kTotals + ";")
+                  .ok());
+  ASSERT_TRUE(engine.optimizer().IsAdopted("filtered"));
+  ASSERT_TRUE(engine.optimizer().IsAdopted("totals"));
+  size_t hits_before = engine.optimizer().hits();
+  ASSERT_TRUE(engine.Insert("sel", {{Value::Int(2050)}}).ok());
+  ASSERT_GT(engine.optimizer().hits(), hits_before);
+
+  Table scan = engine.Query(kFiltered).value();
+  ASSERT_EQ(scan.num_rows(), 4u);  // A 5.0, B 0.0, C NULL, D 0.0
+  EXPECT_TRUE(scan.row(2)[1].is_null());
+  EXPECT_TRUE(engine.GetTable("filtered").value()->SameContents(scan))
+      << engine.GetTable("filtered").value()->ToString() << scan.ToString();
+
+  Table totals = engine.Query(kTotals).value();
+  ASSERT_EQ(totals.num_rows(), 5u);
+  EXPECT_TRUE(engine.GetTable("totals").value()->SameContents(totals))
+      << engine.GetTable("totals").value()->ToString() << totals.ToString();
+}
+
 TEST_F(OptimizerTest, DisabledWhenLineageCaptureOn) {
   Dvms::Options options;
   options.auto_render = false;

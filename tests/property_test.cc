@@ -3,9 +3,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "common/rng.h"
 #include "concurrency/policy.h"
+#include "core/dvms.h"
 #include "events/recognizer.h"
 #include "parser/parser.h"
 #include "query/binder.h"
@@ -413,6 +415,181 @@ TEST_P(CubeProperties, MatchesDirectScanForRandomSelections) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CubeProperties,
                          ::testing::Values(4, 16, 64, 256));
+
+// --------------------------------------------------------- adopted views
+
+using AdoptedViewProperties = SeededTest;
+
+/// Random F(s, y, k, m) rows: NULL keys and measures, zero and negative
+/// measures in quarter steps (every sum is exact in any addition order),
+/// rare groups that often have all-NULL measures, and a key `k` mixing
+/// the int and double images of one year.
+std::vector<Row> RandomFacts(Rng* rng, size_t n) {
+  const char* regions[] = {"a", "b", "c", "z"};
+  std::vector<Row> rows;
+  for (size_t i = 0; i < n; ++i) {
+    Value s = Value::Null();
+    if (!rng->Bernoulli(0.1)) {
+      s = Value::String(
+          regions[rng->Bernoulli(0.05) ? 3 : rng->UniformInt(0, 2)]);
+    }
+    Value y = rng->Bernoulli(0.1) ? Value::Null()
+                                  : Value::Int(rng->UniformInt(1995, 1998));
+    Value k = Value::Null();
+    if (!rng->Bernoulli(0.1)) {
+      int64_t year = rng->Bernoulli(0.05) ? 1994 : rng->UniformInt(1995, 1998);
+      k = rng->Bernoulli(0.5) ? Value::Int(year)
+                              : Value::Double(static_cast<double>(year));
+    }
+    Value m = Value::Null();
+    switch (rng->UniformInt(0, 3)) {
+      case 0:
+        break;
+      case 1:
+        m = Value::Double(0.0);
+        break;
+      default:
+        m = Value::Double(static_cast<double>(rng->UniformInt(-40, 40)) * 0.25);
+        break;
+    }
+    rows.push_back({s, y, k, m});
+  }
+  return rows;
+}
+
+/// A year selection: sometimes empty, sometimes holding NULL, with int and
+/// double images of one year side by side.
+std::vector<Row> RandomYears(Rng* rng) {
+  std::vector<Row> rows;
+  if (rng->Bernoulli(0.15)) return rows;
+  for (int64_t y = 1993; y <= 1999; ++y) {
+    if (!rng->Bernoulli(0.4)) continue;
+    rows.push_back({rng->Bernoulli(0.5)
+                        ? Value::Int(y)
+                        : Value::Double(static_cast<double>(y))});
+    if (rng->Bernoulli(0.2)) {
+      rows.push_back({Value::Double(static_cast<double>(y))});
+    }
+  }
+  if (rng->Bernoulli(0.3)) rows.push_back({Value::Null()});
+  return rows;
+}
+
+std::vector<Row> RandomRegions(Rng* rng) {
+  std::vector<Row> rows;
+  if (rng->Bernoulli(0.15)) return rows;
+  for (const char* r : {"a", "b", "c", "z", "q"}) {
+    if (rng->Bernoulli(0.4)) rows.push_back({Value::String(r)});
+  }
+  if (rng->Bernoulli(0.3)) rows.push_back({Value::Null()});
+  return rows;
+}
+
+/// Same rows in the same order: keys and NULLs exactly (value and type),
+/// doubles within 1e-9 relative.
+void ExpectSameView(const Table& cube, const Table& scan,
+                    const std::string& view) {
+  ASSERT_EQ(cube.num_rows(), scan.num_rows())
+      << view << "\ncube:\n" << cube.ToString() << "scan:\n" << scan.ToString();
+  for (size_t i = 0; i < scan.num_rows(); ++i) {
+    for (size_t c = 0; c < 2; ++c) {
+      const Value& a = cube.row(i)[c];
+      const Value& b = scan.row(i)[c];
+      ASSERT_EQ(a.type(), b.type())
+          << view << " row " << i << " col " << c << ": " << a.ToString()
+          << " vs " << b.ToString();
+      if (b.type() == ValueType::kDouble) {
+        double x = a.double_value();
+        double y = b.double_value();
+        EXPECT_LE(std::abs(x - y),
+                  1e-9 * std::max({1.0, std::abs(x), std::abs(y)}))
+            << view << " row " << i << " col " << c;
+      } else {
+        EXPECT_TRUE(a.Equals(b)) << view << " row " << i << " col " << c
+                                 << ": " << a.ToString() << " vs "
+                                 << b.ToString();
+      }
+    }
+  }
+}
+
+TEST_P(AdoptedViewProperties, AdoptedViewEqualsRecompute) {
+  // Every adoptable shape, in both output column orders: 2-D filtered,
+  // totals, and self-filtered (WHERE g IN sel GROUP BY g).
+  const std::vector<std::pair<std::string, std::string>> views = {
+      {"f_s_y", "SELECT s, SUM(m) AS t FROM F WHERE y IN seln GROUP BY s"},
+      {"f_k_s", "SELECT SUM(m) AS t, k FROM F WHERE s IN sels GROUP BY k"},
+      {"f_s_k", "SELECT SUM(m) AS t, s FROM F WHERE k IN seln GROUP BY s"},
+      {"f_y_k", "SELECT y, SUM(m) AS t FROM F WHERE k IN seln GROUP BY y"},
+      {"t_s", "SELECT s, SUM(m) AS t FROM F GROUP BY s"},
+      {"t_k", "SELECT SUM(m) AS t, k FROM F GROUP BY k"},
+      {"g_y", "SELECT y, SUM(m) AS t FROM F WHERE y IN seln GROUP BY y"},
+      {"g_k", "SELECT SUM(m) AS t, k FROM F WHERE k IN seln GROUP BY k"},
+      {"g_s", "SELECT s, SUM(m) AS t FROM F WHERE s IN sels GROUP BY s"},
+  };
+  std::string program;
+  for (const auto& [name, sql] : views) program += name + " = " + sql + ";\n";
+
+  Rng rng(seed());
+  std::vector<Row> facts =
+      RandomFacts(&rng, static_cast<size_t>(rng.UniformInt(20, 150)));
+  std::vector<std::unique_ptr<Dvms>> engines;  // [0] cube, [1] recompute
+  for (bool optimize : {true, false}) {
+    Dvms::Options options;
+    options.auto_render = false;
+    options.enable_online_optimizer = optimize;
+    auto engine = std::make_unique<Dvms>(options);
+    ASSERT_TRUE(engine
+                    ->CreateBaseTable("F", Schema({{"s", ValueType::kString},
+                                                   {"y", ValueType::kInt64},
+                                                   {"k", ValueType::kDouble},
+                                                   {"m", ValueType::kDouble}}))
+                    .ok());
+    ASSERT_TRUE(engine->Insert("F", facts).ok());
+    ASSERT_TRUE(engine
+                    ->CreateBaseTable("seln",
+                                      Schema({{"v", ValueType::kDouble}}))
+                    .ok());
+    ASSERT_TRUE(engine
+                    ->CreateBaseTable("sels",
+                                      Schema({{"v", ValueType::kString}}))
+                    .ok());
+    ASSERT_TRUE(engine->LoadProgram(program).ok());
+    engines.push_back(std::move(engine));
+  }
+  for (const auto& [name, sql] : views) {
+    EXPECT_TRUE(engines[0]->optimizer().IsAdopted(name)) << name;
+  }
+
+  for (int round = 0; round < 8; ++round) {
+    // Mostly new selections; now and then more facts (the cubes rebuild).
+    std::vector<Row> years = RandomYears(&rng);
+    std::vector<Row> regions = RandomRegions(&rng);
+    std::vector<Row> more;
+    if (rng.Bernoulli(0.25)) {
+      more = RandomFacts(&rng, static_cast<size_t>(rng.UniformInt(1, 10)));
+    }
+    for (auto& engine : engines) {
+      ASSERT_TRUE(engine->Delete("seln", nullptr).ok());
+      ASSERT_TRUE(engine->Insert("seln", years).ok());
+      ASSERT_TRUE(engine->Delete("sels", nullptr).ok());
+      ASSERT_TRUE(engine->Insert("sels", regions).ok());
+      if (!more.empty()) {
+        ASSERT_TRUE(engine->Insert("F", more).ok());
+      }
+    }
+    for (const auto& [name, sql] : views) {
+      ExpectSameView(*engines[0]->GetTable(name).value(),
+                     *engines[1]->GetTable(name).value(),
+                     name + " round " + std::to_string(round));
+    }
+  }
+  EXPECT_GT(engines[0]->optimizer().hits(), 0u);
+  EXPECT_EQ(engines[1]->optimizer().hits(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AdoptedViewProperties,
+                         ::testing::Values(3, 17, 101, 2024, 65537));
 
 // ------------------------------------------------------------- cc policy
 

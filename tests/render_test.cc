@@ -1,3 +1,8 @@
+#include <cmath>
+#include <cstdio>
+
+#include "common/rng.h"
+#include "common/thread_pool.h"
 #include "render/pixels.h"
 #include "render/rasterizer.h"
 #include "render/scale.h"
@@ -172,6 +177,171 @@ TEST(RasterizerTest, BadColorReportsError) {
                   .ok());
   PixelBuffer buf(10, 10);
   EXPECT_FALSE(RenderMarks(marks, &buf).ok());
+}
+
+// ---- Span oracle: the span fills against per-pixel Blend loops ----
+
+/// Per-pixel reference fills: the loops the span fills replaced, one
+/// Blend call per covered pixel.
+void ReferenceFillRect(PixelBuffer* buf, double x, double y, double w,
+                       double h, RGBA color) {
+  if (color.a == 0 || w <= 0 || h <= 0) return;
+  int64_t x0 = static_cast<int64_t>(std::lround(x));
+  int64_t y0 = static_cast<int64_t>(std::lround(y));
+  int64_t x1 = static_cast<int64_t>(std::lround(x + w)) - 1;
+  int64_t y1 = static_cast<int64_t>(std::lround(y + h)) - 1;
+  for (int64_t yy = y0; yy <= y1; ++yy) {
+    for (int64_t xx = x0; xx <= x1; ++xx) buf->Blend(xx, yy, color);
+  }
+}
+
+void ReferenceFillCircle(PixelBuffer* buf, double cx, double cy,
+                         double radius, RGBA color) {
+  if (color.a == 0 || radius <= 0) return;
+  int64_t y0 = static_cast<int64_t>(std::floor(cy - radius));
+  int64_t y1 = static_cast<int64_t>(std::ceil(cy + radius));
+  for (int64_t y = y0; y <= y1; ++y) {
+    double dy = y - cy;
+    double span = radius * radius - dy * dy;
+    if (span < 0) continue;
+    double dx = std::sqrt(span);
+    int64_t x0 = static_cast<int64_t>(std::ceil(cx - dx));
+    int64_t x1 = static_cast<int64_t>(std::floor(cx + dx));
+    for (int64_t x = x0; x <= x1; ++x) buf->Blend(x, y, color);
+  }
+}
+
+/// Opaque, translucent or fully transparent, a third each.
+RGBA RandomColor(Rng* rng) {
+  auto byte = [rng] { return static_cast<uint8_t>(rng->UniformInt(0, 255)); };
+  RGBA c{byte(), byte(), byte(), 255};
+  switch (rng->UniformInt(0, 2)) {
+    case 0:
+      break;
+    case 1:
+      c.a = static_cast<uint8_t>(rng->UniformInt(1, 254));
+      break;
+    default:
+      c.a = 0;
+      break;
+  }
+  return c;
+}
+
+std::string HexColor(RGBA c) {
+  char buf[10];
+  std::snprintf(buf, sizeof(buf), "#%02x%02x%02x%02x", c.r, c.g, c.b, c.a);
+  return buf;
+}
+
+/// A backdrop with translucent and transparent pixels, so blends read
+/// varied destinations.
+void PaintBackdrop(PixelBuffer* buf, Rng* rng) {
+  for (size_t y = 0; y < buf->height(); ++y) {
+    for (size_t x = 0; x < buf->width(); ++x) {
+      buf->Set(static_cast<int64_t>(x), static_cast<int64_t>(y),
+               RandomColor(rng));
+    }
+  }
+}
+
+constexpr size_t kOracleW = 37;
+constexpr size_t kOracleH = 29;
+
+TEST(RasterizerSpanTest, SpanEqualsPerPixelBlend) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    PixelBuffer spans(kOracleW, kOracleH);
+    PaintBackdrop(&spans, &rng);
+    PixelBuffer pixels = spans;
+    for (int i = 0; i < 400; ++i) {
+      // Rows and ends past every edge, and reversed (empty) spans.
+      int64_t y = rng.UniformInt(-3, kOracleH + 2);
+      int64_t x0 = rng.UniformInt(-10, kOracleW + 10);
+      int64_t x1 = rng.UniformInt(-10, kOracleW + 10);
+      RGBA color = RandomColor(&rng);
+      spans.BlendSpan(y, x0, x1, color);
+      for (int64_t x = x0; x <= x1; ++x) pixels.Blend(x, y, color);
+    }
+    EXPECT_TRUE(spans.Equals(pixels)) << "seed " << seed;
+  }
+}
+
+TEST(RasterizerSpanTest, FillsEqualPerPixelBlend) {
+  for (uint64_t seed : {4u, 5u, 6u}) {
+    Rng rng(seed);
+    PixelBuffer filled(kOracleW, kOracleH);
+    PaintBackdrop(&filled, &rng);
+    PixelBuffer reference = filled;
+    for (int i = 0; i < 200; ++i) {
+      // Fractional, off-canvas positions; zero and negative sizes.
+      double x = rng.Uniform(-15, kOracleW + 5);
+      double y = rng.Uniform(-15, kOracleH + 5);
+      RGBA color = RandomColor(&rng);
+      if (rng.Bernoulli(0.5)) {
+        double w = rng.Bernoulli(0.1) ? 0.0 : rng.Uniform(-4, 30);
+        double h = rng.Bernoulli(0.1) ? 0.0 : rng.Uniform(-4, 30);
+        DrawFilledRect(&filled, x, y, w, h, color);
+        ReferenceFillRect(&reference, x, y, w, h, color);
+      } else {
+        double r = rng.Bernoulli(0.1) ? 0.0 : rng.Uniform(-2, 14);
+        DrawFilledCircle(&filled, x, y, r, color);
+        ReferenceFillCircle(&reference, x, y, r, color);
+      }
+    }
+    EXPECT_TRUE(filled.Equals(reference)) << "seed " << seed;
+  }
+}
+
+TEST(RasterizerSpanTest, BandedMarksEqualPerPixelBlend) {
+  ThreadPool pool(4);
+  for (uint64_t seed : {7u, 8u, 9u, 10u}) {
+    Rng rng(seed);
+    const bool circles = seed % 2 == 0;
+    Table marks =
+        circles ? Table(Schema({{"center_x", ValueType::kDouble},
+                                {"center_y", ValueType::kDouble},
+                                {"radius", ValueType::kDouble},
+                                {"fill", ValueType::kString}}))
+                : Table(Schema({{"x", ValueType::kDouble},
+                                {"y", ValueType::kDouble},
+                                {"width", ValueType::kDouble},
+                                {"height", ValueType::kDouble},
+                                {"fill", ValueType::kString}}));
+    PixelBuffer reference(kOracleW, kOracleH);
+    PaintBackdrop(&reference, &rng);
+    PixelBuffer serial = reference;
+    PixelBuffer banded = reference;
+    for (int i = 0; i < 150; ++i) {
+      double x = rng.Uniform(-15, kOracleW + 5);
+      double y = rng.Uniform(-15, kOracleH + 5);
+      double a = rng.Uniform(-4, 30);
+      double b = rng.Uniform(-4, 30);
+      RGBA color = RandomColor(&rng);
+      if (circles) {
+        marks.AppendUnchecked({Value::Double(x), Value::Double(y),
+                               Value::Double(a / 2),
+                               Value::String(HexColor(color))});
+        ReferenceFillCircle(&reference, x, y, a / 2, color);
+      } else {
+        marks.AppendUnchecked({Value::Double(x), Value::Double(y),
+                               Value::Double(a), Value::Double(b),
+                               Value::String(HexColor(color))});
+        ReferenceFillRect(&reference, x, y, a, b, color);
+      }
+    }
+    RenderOptions one;
+    one.num_threads = 1;
+    ASSERT_TRUE(RenderMarks(marks, &serial, one).ok());
+    RenderOptions four;
+    four.num_threads = 4;
+    four.band_rows = static_cast<size_t>(rng.UniformInt(1, 9));
+    four.pool = &pool;
+    ASSERT_TRUE(RenderMarks(marks, &banded, four).ok());
+    EXPECT_TRUE(serial.Equals(reference)) << "seed " << seed;
+    EXPECT_TRUE(banded.Equals(reference))
+        << "seed " << seed << ", band_rows " << four.band_rows;
+  }
 }
 
 TEST(ScaleTest, CreateScaleRelationShape) {
