@@ -105,23 +105,26 @@ void PrintArmedOverhead() {
   constexpr size_t kPoints = 20000;
   constexpr int kRounds = 7;
 
-  double unarmed_ms = 0, armed_ms = 0;
-  // Interleave the arms so thermal / allocator drift hits both equally.
-  for (int mode = 0; mode < 2; ++mode) {
-    const bool armed = mode == 1;
-    auto engine = MakeEngine(kPoints, armed);
-    if (engine == nullptr) {
-      std::printf("program failed to load\n");
-      return;
-    }
-    (void)DriveWorkloadMs(engine.get(), 0);  // warmup
-    double best = 0;
-    for (int round = 0; round < kRounds; ++round) {
-      double ms = DriveWorkloadMs(engine.get(), (round + 1) * 100);
-      if (best == 0 || ms < best) best = ms;
-    }
-    (armed ? armed_ms : unarmed_ms) = best;
+  // Both engines exist up front and the arms alternate round by round,
+  // flipping which runs first, so host drift hits both equally.
+  std::unique_ptr<Dvms> engines[2] = {MakeEngine(kPoints, false),
+                                      MakeEngine(kPoints, true)};
+  if (engines[0] == nullptr || engines[1] == nullptr) {
+    std::printf("program failed to load\n");
+    return;
   }
+  for (auto& engine : engines) {
+    (void)DriveWorkloadMs(engine.get(), 0);  // warmup
+  }
+  double best[2] = {0, 0};  // [0] unarmed, [1] armed
+  for (int round = 0; round < kRounds; ++round) {
+    for (int turn = 0; turn < 2; ++turn) {
+      const int arm = turn ^ (round & 1);
+      double ms = DriveWorkloadMs(engines[arm].get(), (round + 1) * 100);
+      if (best[arm] == 0 || ms < best[arm]) best[arm] = ms;
+    }
+  }
+  const double unarmed_ms = best[0], armed_ms = best[1];
 
   double overhead_pct = (armed_ms - unarmed_ms) / unarmed_ms * 100.0;
   bool pass = overhead_pct < 2.0;

@@ -140,14 +140,15 @@ cmake --build build-tsan -j "$JOBS"
 # Leg 3: AddressSanitizer + UndefinedBehaviorSanitizer chaos leg — the
 # chaos differential, crash-injection/recovery, durability codec,
 # scheduler-degradation, observability/EXPLAIN, fuzz, Online Optimizer /
-# crossfilter-cube and rasterizer span-clipping suites, then the
+# crossfilter-cube, rasterizer span-clipping, and request-context /
+# thread-pool suites, then the
 # fault workload driven by a process-wide DVMS_FAULTS spec: any leak, UB,
 # or use-after-rollback in the recovery paths fails the build.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DDVMS_SANITIZE=address,undefined
 cmake --build build-asan -j "$JOBS"
 (cd build-asan && ctest --output-on-failure -j "$JOBS" \
-  -R 'Chaos|Fault|Scheduler|Fuzz|UndoRedoBoundary|Crash|Durability|Recovery|Wal|Snapshot|Crc32c|Obs|Explain|Governor|QueryContext|Admission|Linearizability|Session|Replication|Replica|Env|Scrub|Degraded|Columnar|Cluster|VersionedTable|Optimizer|Crossfilter|CubeProperties|AdoptedView|Rasterizer|PixelBuffer|RenderOrder')
+  -R 'Chaos|Fault|Scheduler|Fuzz|UndoRedoBoundary|Crash|Durability|Recovery|Wal|Snapshot|Crc32c|Obs|Explain|Governor|QueryContext|Admission|Linearizability|Session|Replication|Replica|Env|Scrub|Degraded|Columnar|Cluster|VersionedTable|Optimizer|Crossfilter|CubeProperties|AdoptedView|Rasterizer|PixelBuffer|RenderOrder|RequestContext|ThreadPool|ParallelStress')
 DVMS_FAULTS="7:0.01" ./build-asan/bench/bench_faults \
   --benchmark_filter=__none__ >/dev/null && echo "asan chaos leg passed"
 # Governed-abort leg: deadline/cancel/memory-budget aborts and their

@@ -12,7 +12,7 @@
 #include <cstring>
 #include <mutex>
 
-#include "common/fault.h"
+#include "common/request_context.h"
 #include "common/schema.h"
 
 namespace dvms {
@@ -299,10 +299,10 @@ bool FaultEnv::Decide(IoOp op, IoErrorKind* kind) {
   uint64_t n = op_checks_[i].fetch_add(1, std::memory_order_relaxed);
   checks_.fetch_add(1, std::memory_order_relaxed);
   if (disarmed_.load(std::memory_order_relaxed)) return false;
-  // Recovery, rollback, and promotion run suppressed — the same scope that
-  // silences logical FaultSite injection keeps the disk "healthy" for the
-  // code undoing an earlier fault's damage.
-  if (fault::Suppressed()) return false;
+  // Recovery, rollback, and promotion run as internal work — the same
+  // scope that silences logical FaultSite injection keeps the disk
+  // "healthy" for the code undoing an earlier fault's damage.
+  if (CurrentRequest().is_internal()) return false;
   if (!config_.OpEnabled(op) || config_.rate <= 0.0) return false;
   uint32_t candidates = OpKindMask(op) & config_.kind_mask;
   if (candidates == 0) return false;

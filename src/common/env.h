@@ -114,9 +114,9 @@ Result<IoFaultConfig> ParseIoFaultSpec(const std::string& spec);
 
 /// Deterministic disk-fault decorator: delegates to `base` but fails a
 /// seeded fraction of operations with EIO / ENOSPC / short writes / failed
-/// fsyncs. Injection respects fault::Suppressed() — recovery, rollback,
-/// and replica apply paths stay exempt, exactly like FaultSite injection —
-/// so it composes with the existing chaos machinery. Thread-safe.
+/// fsyncs. Injection skips InternalScope work — recovery, rollback, and
+/// replica apply paths stay exempt, exactly like FaultSite injection — so
+/// it composes with the existing chaos machinery. Thread-safe.
 class FaultEnv : public Env {
  public:
   FaultEnv(Env* base, IoFaultConfig config);

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <mutex>
 
+#include "common/request_context.h"
 #include "common/schema.h"
 
 namespace dvms {
@@ -23,10 +24,6 @@ uint64_t Mix64(uint64_t x) {
 }
 
 std::atomic<FaultInjector*> g_injector{nullptr};
-/// Suppression is per-thread: a writer's rollback must not silence a
-/// concurrent reader's checks. ThreadPool re-establishes the submitter's
-/// suppression on participants (see ForState::fault_suppressed).
-thread_local int t_suppress_depth = 0;
 std::once_flag g_env_once;
 
 /// Owns the injector parsed from DVMS_FAULTS, when the variable is set.
@@ -179,7 +176,7 @@ FaultInjector* InjectorFromEnvSpecOrDie(const char* spec) {
 
 Status MaybeInject(FaultSite site) {
   FaultInjector* injector = Active();
-  if (injector == nullptr || t_suppress_depth > 0) {
+  if (injector == nullptr || CurrentRequest().is_internal()) {
     return Status::OK();
   }
   return injector->MaybeInject(site);
@@ -187,7 +184,7 @@ Status MaybeInject(FaultSite site) {
 
 bool ShouldInject(FaultSite site) {
   FaultInjector* injector = Active();
-  if (injector == nullptr || t_suppress_depth > 0) {
+  if (injector == nullptr || CurrentRequest().is_internal()) {
     return false;
   }
   return injector->ShouldInject(site);
@@ -195,7 +192,7 @@ bool ShouldInject(FaultSite site) {
 
 size_t RetryTransient(FaultSite site, size_t max_retries) {
   FaultInjector* injector = Active();
-  if (injector == nullptr || t_suppress_depth > 0) {
+  if (injector == nullptr || CurrentRequest().is_internal()) {
     return 0;
   }
   size_t faulted = 0;
@@ -206,12 +203,6 @@ size_t RetryTransient(FaultSite site, size_t max_retries) {
   return faulted;
 }
 
-bool Suppressed() { return t_suppress_depth > 0; }
-
 }  // namespace fault
-
-FaultSuppressScope::FaultSuppressScope() { ++t_suppress_depth; }
-
-FaultSuppressScope::~FaultSuppressScope() { --t_suppress_depth; }
 
 }  // namespace dvms

@@ -113,8 +113,10 @@ FaultInjector* InstallProcessInjector(FaultInjector* injector);
 /// real environment parse runs only once per process.
 FaultInjector* InjectorFromEnvSpecOrDie(const char* spec);
 
-/// Null-safe, suppression-aware check. The hot fault-free path is one
-/// relaxed atomic load and a branch.
+/// Null-safe check, skipped inside an InternalScope (recovery, rollback,
+/// replica apply: an injected fault must not cascade into the code undoing
+/// its damage). The hot fault-free path is one relaxed atomic load and a
+/// branch.
 Status MaybeInject(FaultSite site);
 bool ShouldInject(FaultSite site);
 
@@ -124,12 +126,6 @@ bool ShouldInject(FaultSite site);
 /// proceeds exactly once afterwards — a transient fault delays work, never
 /// corrupts or duplicates it.
 size_t RetryTransient(FaultSite site, size_t max_retries);
-
-/// True while a FaultSuppressScope is alive on the calling thread.
-/// ThreadPool captures this at ParallelFor submission and re-establishes it
-/// on each participant, so fanned-out recovery work inherits the
-/// submitter's suppression without silencing unrelated threads.
-bool Suppressed();
 
 }  // namespace fault
 
@@ -149,20 +145,6 @@ class ScopedFaultInjector {
  private:
   FaultInjector injector_;
   FaultInjector* prev_;
-};
-
-/// RAII: suppresses fault injection on the owning thread while alive.
-/// Recovery paths (interaction rollback, the restoring re-render, replica
-/// batch apply) run under this so an injected fault cannot cascade into the
-/// very code undoing its damage. Thread-local so a writer's rollback never
-/// silences a concurrent reader's checks; work fanned onto pool threads
-/// inherits the submitter's suppression via ThreadPool::ParallelFor.
-class FaultSuppressScope {
- public:
-  FaultSuppressScope();
-  ~FaultSuppressScope();
-  FaultSuppressScope(const FaultSuppressScope&) = delete;
-  FaultSuppressScope& operator=(const FaultSuppressScope&) = delete;
 };
 
 }  // namespace dvms

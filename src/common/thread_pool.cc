@@ -2,11 +2,10 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <optional>
 #include <string>
 
 #include "common/fault.h"
-#include "governor/governor.h"
+#include "common/request_context.h"
 #include "obs/trace.h"
 
 namespace dvms {
@@ -90,16 +89,10 @@ struct ThreadPool::ForState {
   size_t total = 0;
   size_t grain = 1;
   const MorselFn* fn = nullptr;
-  /// Governor context of the submitting thread, installed around each
-  /// participant so pool workers observe the submitter's deadline/budget
-  /// (contexts are thread-local now that readers run concurrently).
-  QueryContext* governor_ctx = nullptr;
-  /// Suppression state of the submitting thread, re-established around each
-  /// participant: fault/governor suppression is thread-local (a writer's
-  /// rollback must not silence concurrent readers), but rollback and
-  /// recovery work fans out here and must stay suppressed on the workers.
-  bool fault_suppressed = false;
-  bool governor_suppressed = false;
+  /// The submitting thread's request context, installed around each
+  /// participant: pool work runs as part of the submitter's request (its
+  /// governor envelope, internal flag and open span).
+  RequestContext request;
 
   /// Per-participant contiguous run of morsel indices. `next` is bumped by
   /// the owner and by thieves; claims at or past `end` are no-ops.
@@ -117,11 +110,7 @@ struct ThreadPool::ForState {
 
 void ThreadPool::RunParticipant(ForState* state, size_t self) {
   t_in_parallel_region = true;
-  QueryContext* prev_ctx = governor::InstallContext(state->governor_ctx);
-  std::optional<FaultSuppressScope> fault_suppress;
-  if (state->fault_suppressed) fault_suppress.emplace();
-  std::optional<GovernorSuppressScope> governor_suppress;
-  if (state->governor_suppressed) governor_suppress.emplace();
+  RequestContextSwap request(state->request);
   auto run = [state](size_t morsel) {
     // Transient task-start faults are absorbed here with bounded retry:
     // the morsel then runs exactly once, so results stay bit-identical.
@@ -150,7 +139,6 @@ void ThreadPool::RunParticipant(ForState* state, size_t self) {
     }
   }
   if (stolen > 0) obs::Count("pool.steals", stolen);
-  governor::InstallContext(prev_ctx);
   t_in_parallel_region = false;
 }
 
@@ -177,9 +165,7 @@ void ThreadPool::ParallelFor(size_t total, size_t grain, size_t max_threads,
   state.total = total;
   state.grain = grain == 0 ? 1 : grain;
   state.fn = &fn;
-  state.governor_ctx = governor::Current();
-  state.fault_suppressed = fault::Suppressed();
-  state.governor_suppressed = governor::Suppressed();
+  state.request = CurrentRequest();
   state.segments = std::vector<ForState::Segment>(parallelism);
   // Contiguous partition of morsel indices: participant i owns
   // [i*per + min(i, extra), ...) — balanced to within one morsel.

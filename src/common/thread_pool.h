@@ -64,7 +64,9 @@ class ThreadPool {
   /// Blocks until every morsel has run. `max_threads` caps the number of
   /// participants (0 = use the whole pool); with an effective parallelism
   /// of 1 — or when called from inside another ParallelFor — all morsels
-  /// run inline on the calling thread in index order. `fn` must not throw.
+  /// run inline on the calling thread in index order. Every participant
+  /// runs under a copy of the caller's RequestContext, so morsels belong to
+  /// the caller's request. `fn` must not throw.
   void ParallelFor(size_t total, size_t grain, size_t max_threads,
                    const MorselFn& fn);
 

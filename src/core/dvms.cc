@@ -10,8 +10,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <optional>
 
 #include "common/env.h"
+#include "common/request_context.h"
 #include "core/session.h"
 #include "parser/parser.h"
 #include "parser/planner.h"
@@ -31,26 +33,6 @@ int64_t SteadyMicros() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
-
-/// Nesting depth of governed public entry points on this thread. Nested
-/// calls (Execute -> Insert, PushEvents -> PushEvent, auto_render ->
-/// Render) happen on the thread that already holds mu_, so a thread-local
-/// counter is enough to tell an outermost request from a joined one.
-thread_local int t_governed_depth = 0;
-
-/// True while the calling thread is the replica's own apply path (batch
-/// apply, bootstrap replay, promotion suffix replay): the one caller
-/// allowed through CheckWritable on a replica. Thread-local, not engine
-/// state, so an external writer racing a batch can never slip through the
-/// writability check while the tail thread happens to be applying.
-thread_local bool t_replica_apply = false;
-
-struct ReplicaApplyScope {
-  ReplicaApplyScope() { t_replica_apply = true; }
-  ~ReplicaApplyScope() { t_replica_apply = false; }
-  ReplicaApplyScope(const ReplicaApplyScope&) = delete;
-  ReplicaApplyScope& operator=(const ReplicaApplyScope&) = delete;
-};
 
 /// Replication knobs are tuning, not safety: a malformed value warns and
 /// falls back (unlike the governor's fail-loud knobs, nothing is silently
@@ -214,8 +196,7 @@ Dvms::~Dvms() {
   if (durability_ != nullptr) {
     // Push any batched group-commit frames out before the process forgets
     // about them. Best-effort: there is no caller to report to.
-    FaultSuppressScope suppress;
-    GovernorSuppressScope governor_suppress;
+    InternalScope internal;
     (void)durability_->Flush();
   }
   if (owned_injector_ != nullptr) {
@@ -249,49 +230,117 @@ void Dvms::InitGovernor() {
       reader_slots, governor_config_.queue_ms * 1000);
 }
 
-Dvms::AdmissionTicket::AdmissionTicket(Dvms* dvms, Gate gate) : dvms_(dvms) {
-  // Nested entry points already hold an admission slot (and hold mu_ — a
-  // blocking wait here would deadlock against the slot holder queued on
-  // that mutex). Recovery replay and rollback are engine-internal work,
-  // never client traffic.
-  if (t_governed_depth > 0 || dvms_->replaying_ || governor::Suppressed()) {
-    return;
-  }
-  gate_ = gate == Gate::kReader ? dvms_->read_admission_.get()
-                                : dvms_->admission_.get();
-  if (gate_ == nullptr) return;
-  status_ = gate_->Enter();
-  admitted_ = status_.ok();
-}
+/// Admission at the front door, taken BEFORE mu_ so a full engine sheds
+/// load instead of growing an unbounded mutex queue. Nested entry points
+/// already hold a slot (and hold mu_ — a blocking wait here would deadlock
+/// against the slot holder queued on that mutex), and internal work
+/// (recovery replay, rollback) is never client traffic: both skip the gate.
+class Dvms::AdmissionTicket {
+ public:
+  /// Which accounting pool the request draws from: mutations take
+  /// max_inflight slots, snapshot reads take max_readers slots.
+  enum class Gate { kWriter, kReader };
 
-Dvms::AdmissionTicket::~AdmissionTicket() {
-  if (admitted_) gate_->Leave();
-}
-
-Dvms::GovernedRequest::GovernedRequest(Dvms* dvms) : dvms_(dvms) {
-  outermost_ = (t_governed_depth++ == 0);
-  if (!outermost_ || !dvms_->governor_armed_ || dvms_->replaying_ ||
-      governor::Suppressed()) {
-    return;
+  AdmissionTicket(Dvms* dvms, Gate gate) {
+    const RequestContext& request = CurrentRequest();
+    if (request.entry_depth > 0 || request.is_internal()) return;
+    gate_ = gate == Gate::kReader ? dvms->read_admission_.get()
+                                  : dvms->admission_.get();
+    if (gate_ == nullptr) return;
+    status_ = gate_->Enter();
+    if (!status_.ok()) gate_ = nullptr;
   }
-  const GovernorConfig& cfg = dvms_->governor_config_;
-  ctx_.ArmDeadline(cfg.deadline_ms, cfg.clock);
-  ctx_.ArmMemoryBudget(cfg.mem_budget);
-  ctx_.ShareCancelFlag(dvms_->cancel_flag_);
-  prev_ = governor::InstallContext(&ctx_);
-  armed_ = true;
-}
-
-Dvms::GovernedRequest::~GovernedRequest() {
-  if (armed_) {
-    governor::InstallContext(prev_);
-    // This runs after EndMutationUnit (rollback + obs::Restore) and while
-    // mu_ is still held, so abort counters survive the rollback's metric
-    // rewind.
-    dvms_->FoldGovernorAccounting(ctx_, dvms_->cancel_flag_.get());
+  ~AdmissionTicket() {
+    if (gate_ != nullptr) gate_->Leave();
   }
-  --t_governed_depth;
-}
+  AdmissionTicket(const AdmissionTicket&) = delete;
+  AdmissionTicket& operator=(const AdmissionTicket&) = delete;
+
+  /// kResourceExhausted when the request was shed; the caller returns it
+  /// without touching engine state.
+  const Status& status() const { return status_; }
+
+ private:
+  AdmissionGate* gate_ = nullptr;  // set while a slot is held
+  Status status_;
+};
+
+/// The scope every public mutating entry point opens before it touches
+/// engine state. The constructor runs, in order: CheckWritable,
+/// CheckRelationName for a relation the call creates, admission, mu_, and
+/// the governed request — the outermost entry point on a thread arms a
+/// QueryContext (deadline, cancel flag, memory budget) unless the work is
+/// internal; nested calls join it. A logged entry point also opens the log
+/// depth: only the outermost logged call appends a frame (replaying it
+/// implies the nested calls) and publishes a snapshot epoch when it closes,
+/// and internal replay publishes once at the end instead of per record.
+/// The first failing step's status is status() and nothing after it runs.
+/// The destructor unwinds in reverse — publish, log depth, governor
+/// accounting, mu_, admission slot — so the publish and the governor fold
+/// run after EndMutationUnit's rollback but before the lock releases.
+class Dvms::RequestScope {
+ public:
+  struct Steps {
+    const char* writable_op = nullptr;       // CheckWritable unless null
+    const std::string* new_name = nullptr;   // CheckRelationName unless null
+    AdmissionTicket::Gate gate = AdmissionTicket::Gate::kWriter;
+    bool logged = true;
+  };
+
+  RequestScope(Dvms* dvms, const Steps& steps) : dvms_(dvms) {
+    if (steps.writable_op != nullptr) {
+      status_ = dvms_->CheckWritable(steps.writable_op);
+    }
+    if (status_.ok() && steps.new_name != nullptr) {
+      status_ = dvms_->CheckRelationName(*steps.new_name);
+    }
+    if (!status_.ok()) return;
+    ticket_.emplace(dvms_, steps.gate);
+    status_ = ticket_->status();
+    if (!status_.ok()) return;
+    lock_.emplace(dvms_->mu_, dvms_->write_lock_acquisitions_);
+    RequestContext& request = CurrentRequest();
+    if (request.entry_depth++ == 0 && dvms_->governor_armed_ &&
+        !request.is_internal()) {
+      const GovernorConfig& cfg = dvms_->governor_config_;
+      ctx_.ArmDeadline(cfg.deadline_ms, cfg.clock);
+      ctx_.ArmMemoryBudget(cfg.mem_budget);
+      ctx_.ShareCancelFlag(dvms_->cancel_flag_);
+      governed_.emplace(&ctx_);
+    }
+    logged_ = steps.logged;
+    if (logged_) {
+      publish_ = ++dvms_->log_depth_ == 1 && !request.is_internal();
+    }
+  }
+
+  ~RequestScope() {
+    if (!status_.ok()) return;  // a check failed: nothing was opened
+    if (publish_) dvms_->PublishSnapshotLocked();
+    if (logged_) --dvms_->log_depth_;
+    if (governed_.has_value()) {
+      governed_.reset();
+      // Folded while mu_ is still held and after the rollback's obs
+      // restore, so abort counters survive the metric rewind.
+      dvms_->FoldGovernorAccounting(ctx_, dvms_->cancel_flag_.get());
+    }
+    --CurrentRequest().entry_depth;
+  }
+  RequestScope(const RequestScope&) = delete;
+  RequestScope& operator=(const RequestScope&) = delete;
+
+  const Status& status() const { return status_; }
+
+ private:
+  Dvms* dvms_;
+  Status status_;
+  std::optional<AdmissionTicket> ticket_;
+  std::optional<MuLock> lock_;
+  QueryContext ctx_;
+  std::optional<GovernorRequestScope> governed_;
+  bool logged_ = false;
+  bool publish_ = false;
+};
 
 void Dvms::FoldGovernorAccounting(const QueryContext& ctx,
                                   std::atomic<bool>* cancel_flag) {
@@ -428,8 +477,7 @@ void Dvms::RollbackMutationUnit() {
   // Injected faults must not cascade into the code undoing their damage,
   // and an expired deadline / raised cancel flag must not abort its own
   // rollback (the restoring re-render runs to completion regardless).
-  FaultSuppressScope suppress;
-  GovernorSuppressScope governor_suppress;
+  InternalScope internal;
   std::vector<std::string> restored;
   for (const std::string& name : unit_.relations) {
     auto table = catalog_.Get(name);
@@ -457,9 +505,10 @@ void Dvms::RollbackMutationUnit() {
   unit_ = UnitState{};
   if (rerender) {
     // The framebuffer may hold a partial frame. Rendering is a
-    // deterministic function of the (restored) marks views, so a
-    // suppressed re-render reproduces the pre-unit pixels bit-for-bit —
-    // including reproducing any pre-existing render error's partial state.
+    // deterministic function of the (restored) marks views, so an
+    // internal (never faulted) re-render reproduces the pre-unit pixels
+    // bit-for-bit — including any pre-existing render error's partial
+    // state.
     size_t renders = stats_.renders;
     (void)RenderLocked();
     stats_.renders = renders;
@@ -472,14 +521,9 @@ void Dvms::RollbackMutationUnit() {
 }
 
 Status Dvms::CreateBaseTable(const std::string& name, Schema schema) {
-  DVMS_RETURN_IF_ERROR(CheckWritable("CreateBaseTable"));
-  DVMS_RETURN_IF_ERROR(CheckRelationName(name));
-  AdmissionTicket ticket(this);
-  DVMS_RETURN_IF_ERROR(ticket.status());
-  MuLock lock(mu_, write_lock_acquisitions_);
-  GovernedRequest request(this);
-  LogScope log_scope(this);
-  SnapshotPublisher publish(this);
+  RequestScope request(this, {.writable_op = "CreateBaseTable",
+                              .new_name = &name});
+  DVMS_RETURN_IF_ERROR(request.status());
   DVMS_RETURN_IF_ERROR(
       catalog_.CreateTable(name, schema, RelationKind::kBase).status());
   WalRecord record;
@@ -496,13 +540,8 @@ Status Dvms::CreateBaseTable(const std::string& name, Schema schema) {
 }
 
 Status Dvms::Insert(const std::string& name, std::vector<Row> rows) {
-  DVMS_RETURN_IF_ERROR(CheckWritable("Insert"));
-  AdmissionTicket ticket(this);
-  DVMS_RETURN_IF_ERROR(ticket.status());
-  MuLock lock(mu_, write_lock_acquisitions_);
-  GovernedRequest request(this);
-  LogScope log_scope(this);
-  SnapshotPublisher publish(this);
+  RequestScope request(this, {.writable_op = "Insert"});
+  DVMS_RETURN_IF_ERROR(request.status());
   WalRecord record;
   if (ShouldLog()) {
     record.op = WalRecord::Op::kInsert;
@@ -528,14 +567,8 @@ Status Dvms::InsertLocked(const std::string& name, std::vector<Row> rows) {
 Status Dvms::CreateScale(const std::string& name, double domain_min,
                          double domain_max, double range_min,
                          double range_max) {
-  DVMS_RETURN_IF_ERROR(CheckWritable("CreateScale"));
-  DVMS_RETURN_IF_ERROR(CheckRelationName(name));
-  AdmissionTicket ticket(this);
-  DVMS_RETURN_IF_ERROR(ticket.status());
-  MuLock lock(mu_, write_lock_acquisitions_);
-  GovernedRequest request(this);
-  LogScope log_scope(this);
-  SnapshotPublisher publish(this);
+  RequestScope request(this, {.writable_op = "CreateScale", .new_name = &name});
+  DVMS_RETURN_IF_ERROR(request.status());
   WalRecord record;
   record.op = WalRecord::Op::kCreateScale;
   record.name = name;
@@ -576,17 +609,12 @@ Status Dvms::Execute(const Statement& statement) {
   // Plan-level classification (never string matching): a bare EXPLAIN is
   // the one read-only Statement form — it stays allowed on a replica and
   // draws a reader slot.
-  if (!StatementIsReadOnly(statement)) {
-    DVMS_RETURN_IF_ERROR(CheckWritable("Execute"));
-  }
-  AdmissionTicket ticket(this, StatementIsReadOnly(statement)
-                                   ? AdmissionTicket::Gate::kReader
-                                   : AdmissionTicket::Gate::kWriter);
-  DVMS_RETURN_IF_ERROR(ticket.status());
-  MuLock lock(mu_, write_lock_acquisitions_);
-  GovernedRequest request(this);
-  LogScope log_scope(this);
-  SnapshotPublisher publish(this);
+  const bool read_only = StatementIsReadOnly(statement);
+  RequestScope request(
+      this, {.writable_op = read_only ? nullptr : "Execute",
+             .gate = read_only ? AdmissionTicket::Gate::kReader
+                               : AdmissionTicket::Gate::kWriter});
+  DVMS_RETURN_IF_ERROR(request.status());
   DVMS_RETURN_IF_ERROR(ExecuteDispatch(statement));
   WalRecord record;
   if (ShouldLog()) {
@@ -707,13 +735,8 @@ Status Dvms::ExecuteDispatch(const Statement& statement) {
 }
 
 Status Dvms::LoadProgram(const std::string& source) {
-  DVMS_RETURN_IF_ERROR(CheckWritable("LoadProgram"));
-  AdmissionTicket ticket(this);
-  DVMS_RETURN_IF_ERROR(ticket.status());
-  MuLock lock(mu_, write_lock_acquisitions_);
-  GovernedRequest request(this);
-  LogScope log_scope(this);
-  SnapshotPublisher publish(this);
+  RequestScope request(this, {.writable_op = "LoadProgram"});
+  DVMS_RETURN_IF_ERROR(request.status());
   // Parsing touches nothing, so a typo'd program fails cleanly with the
   // log and memory still in agreement.
   DVMS_ASSIGN_OR_RETURN(Program program, ParseProgram(source));
@@ -839,13 +862,8 @@ Status Dvms::CommitViews() {
 
 Result<size_t> Dvms::Delete(const std::string& name,
                             const ExprPtr& predicate) {
-  DVMS_RETURN_IF_ERROR(CheckWritable("Delete"));
-  AdmissionTicket ticket(this);
-  DVMS_RETURN_IF_ERROR(ticket.status());
-  MuLock lock(mu_, write_lock_acquisitions_);
-  GovernedRequest request(this);
-  LogScope log_scope(this);
-  SnapshotPublisher publish(this);
+  RequestScope request(this, {.writable_op = "Delete"});
+  DVMS_RETURN_IF_ERROR(request.status());
   WalRecord record;
   if (ShouldLog()) {
     record.op = WalRecord::Op::kDelete;
@@ -929,13 +947,8 @@ bool Dvms::CanRedo() const {
 }
 
 Status Dvms::Undo() {
-  DVMS_RETURN_IF_ERROR(CheckWritable("Undo"));
-  AdmissionTicket ticket(this);
-  DVMS_RETURN_IF_ERROR(ticket.status());
-  MuLock lock(mu_, write_lock_acquisitions_);
-  GovernedRequest request(this);
-  LogScope log_scope(this);
-  SnapshotPublisher publish(this);
+  RequestScope request(this, {.writable_op = "Undo"});
+  DVMS_RETURN_IF_ERROR(request.status());
   WalRecord record;
   record.op = WalRecord::Op::kUndo;
   BeginMutationUnit();
@@ -953,13 +966,8 @@ Status Dvms::UndoLocked() {
 }
 
 Status Dvms::Redo() {
-  DVMS_RETURN_IF_ERROR(CheckWritable("Redo"));
-  AdmissionTicket ticket(this);
-  DVMS_RETURN_IF_ERROR(ticket.status());
-  MuLock lock(mu_, write_lock_acquisitions_);
-  GovernedRequest request(this);
-  LogScope log_scope(this);
-  SnapshotPublisher publish(this);
+  RequestScope request(this, {.writable_op = "Redo"});
+  DVMS_RETURN_IF_ERROR(request.status());
   WalRecord record;
   record.op = WalRecord::Op::kRedo;
   BeginMutationUnit();
@@ -1045,13 +1053,8 @@ Result<std::string> Dvms::ExplainView(const std::string& name) const {
 }
 
 Status Dvms::PushEvent(const InputEvent& event) {
-  DVMS_RETURN_IF_ERROR(CheckWritable("PushEvent"));
-  AdmissionTicket ticket(this);
-  DVMS_RETURN_IF_ERROR(ticket.status());
-  MuLock lock(mu_, write_lock_acquisitions_);
-  GovernedRequest request(this);
-  LogScope log_scope(this);
-  SnapshotPublisher publish(this);
+  RequestScope request(this, {.writable_op = "PushEvent"});
+  DVMS_RETURN_IF_ERROR(request.status());
   WalRecord record;
   if (ShouldLog()) {
     record.op = WalRecord::Op::kEvent;
@@ -1104,11 +1107,10 @@ Status Dvms::PushEventLocked(const InputEvent& event) {
 }
 
 Status Dvms::PushEvents(const std::vector<InputEvent>& events) {
-  DVMS_RETURN_IF_ERROR(CheckWritable("PushEvents"));
-  AdmissionTicket ticket(this);
-  DVMS_RETURN_IF_ERROR(ticket.status());
-  MuLock lock(mu_, write_lock_acquisitions_);
-  GovernedRequest request(this);
+  // Not logged itself: each nested PushEvent logs and publishes its own
+  // frame.
+  RequestScope request(this, {.writable_op = "PushEvents", .logged = false});
+  DVMS_RETURN_IF_ERROR(request.status());
   for (const InputEvent& event : events) {
     DVMS_RETURN_IF_ERROR(PushEvent(event));
   }
@@ -1116,10 +1118,8 @@ Status Dvms::PushEvents(const std::vector<InputEvent>& events) {
 }
 
 Status Dvms::Render() {
-  AdmissionTicket ticket(this);
-  DVMS_RETURN_IF_ERROR(ticket.status());
-  MuLock lock(mu_, write_lock_acquisitions_);
-  GovernedRequest request(this);
+  RequestScope request(this, {.logged = false});
+  DVMS_RETURN_IF_ERROR(request.status());
   BeginMutationUnit();
   return EndMutationUnit(RenderLocked());
 }
@@ -1142,14 +1142,9 @@ Status Dvms::RenderLocked() {
 Status Dvms::ComposeInteractions(const std::string& first,
                                  const std::string& second,
                                  const std::string& merged_name) {
-  DVMS_RETURN_IF_ERROR(CheckWritable("ComposeInteractions"));
-  DVMS_RETURN_IF_ERROR(CheckRelationName(merged_name));
-  AdmissionTicket ticket(this);
-  DVMS_RETURN_IF_ERROR(ticket.status());
-  MuLock lock(mu_, write_lock_acquisitions_);
-  GovernedRequest request(this);
-  LogScope log_scope(this);
-  SnapshotPublisher publish(this);
+  RequestScope request(this, {.writable_op = "ComposeInteractions",
+                              .new_name = &merged_name});
+  DVMS_RETURN_IF_ERROR(request.status());
   DVMS_ASSIGN_OR_RETURN(const EventStmt* a, recognizer_.GetStatement(first));
   DVMS_ASSIGN_OR_RETURN(const EventStmt* b, recognizer_.GetStatement(second));
   DVMS_ASSIGN_OR_RETURN(EventStmt merged, MergeSequential(*a, *b));
@@ -1444,11 +1439,11 @@ void Dvms::InitDurability() {
   }
   WalFsyncMode mode = parsed.value();
 
-  // Recovery (including the replayed interactions) must never be
-  // fault-injected or governed: it is itself the error-handling path, and
-  // replay must reproduce logged history regardless of current deadlines.
-  FaultSuppressScope suppress;
-  GovernorSuppressScope governor_suppress;
+  // Recovery (including the replayed interactions) is internal work: never
+  // fault-injected or governed, since it is itself the error-handling path
+  // and replay must reproduce logged history regardless of current
+  // deadlines; replayed calls are not re-logged or published per record.
+  InternalScope internal;
   Result<std::unique_ptr<DurabilityManager>> manager =
       DurabilityManager::Open(dir, mode);
   if (!manager.ok()) {
@@ -1468,9 +1463,7 @@ void Dvms::InitDurability() {
     return;
   }
 
-  replaying_ = true;
   Status replayed = RestoreAndReplay(std::move(recovered).value());
-  replaying_ = false;
   if (!replayed.ok()) {
     recovery_status_ = replayed;
     durability_poisoned_ = true;
@@ -1493,7 +1486,7 @@ Status Dvms::CheckWritable(const char* op) const {
   // at the top of every mutating entry point, before the mutation unit
   // arms, so these counts are never rewound by a rollback's obs restore.
   if (role_.load(std::memory_order_relaxed) == Role::kReplica &&
-      !t_replica_apply) {
+      !CurrentRequest().is_internal()) {
     obs::Count("engine.rejected_readonly_replica");
     return Status::ReadOnlyReplica(
         std::string(op) + " rejected: this engine is a read replica of " +
@@ -1545,20 +1538,16 @@ void Dvms::InitReplica() {
     repl_.replica = true;
   }
   // Bootstrap read-only from whatever the primary's directory holds right
-  // now. Like recovery, the bootstrap replay must never be fault-injected
-  // or governed.
-  FaultSuppressScope suppress;
-  GovernorSuppressScope governor_suppress;
+  // now. Like recovery, the bootstrap replay is internal work: never
+  // fault-injected or governed, and the one writer a replica admits.
+  InternalScope internal;
   uint64_t applied = 0;
   Result<RecoveredLog> log = ReadLogReadOnly(options_.replica_of);
   if (log.ok()) {
     RecoveredLog recovered = std::move(log).value();
     if (recovered.has_snapshot) applied = recovered.snapshot_lsn;
     if (!recovered.frames.empty()) applied = recovered.frames.back().lsn;
-    ReplicaApplyScope apply_scope;
-    replaying_.store(true, std::memory_order_relaxed);
     Status st = RestoreAndReplay(std::move(recovered));
-    replaying_.store(false, std::memory_order_relaxed);
     if (!st.ok()) {
       // A half-applied bootstrap cannot be retried in place (replaying from
       // lsn 0 onto a populated catalog would double-apply): fail-stop into
@@ -1651,13 +1640,12 @@ bool Dvms::ApplyReplicaBatch(std::vector<WalFrame> frames) {
     SyncTailerStatsLocked();
   }
   MuLock lock(mu_, write_lock_acquisitions_);
-  // Replaying the primary's history must reproduce it exactly: suppressed
+  // Replaying the primary's history must reproduce it exactly: internal
   // like recovery so injected faults and governor aborts cannot make the
-  // pair diverge.
-  FaultSuppressScope suppress;
-  GovernorSuppressScope governor_suppress;
-  ReplicaApplyScope apply_scope;
-  replaying_.store(true, std::memory_order_relaxed);
+  // pair diverge. Only this thread's request is internal: a concurrent
+  // read still takes a reader slot, and an external write is still
+  // rejected.
+  InternalScope internal;
   Status st = Status::OK();
   uint64_t applied = 0;
   uint64_t applied_count = 0;
@@ -1680,7 +1668,6 @@ bool Dvms::ApplyReplicaBatch(std::vector<WalFrame> frames) {
     applied = frame.lsn;
     ++applied_count;
   }
-  replaying_.store(false, std::memory_order_relaxed);
   // Publish even a partial batch: each frame applied all-or-nothing
   // through its entry point, so the catalog is the primary's state at
   // `applied` — a consistent committed prefix.
@@ -1805,10 +1792,9 @@ Status Dvms::Promote() {
   // apply). After the join this thread is the only mutator.
   StopTailer();
   MuLock lock(mu_, write_lock_acquisitions_);
-  // Promotion is the error-handling path; like recovery it must never be
-  // fault-injected or governed.
-  FaultSuppressScope suppress;
-  GovernorSuppressScope governor_suppress;
+  // Promotion is the error-handling path; like recovery it runs as
+  // internal work, never fault-injected or governed.
+  InternalScope internal;
   DVMS_ASSIGN_OR_RETURN(WalFsyncMode mode, ResolveFsyncMode());
   // Standard crash recovery on the primary's directory: seals any torn
   // tail and opens the log for append — from here on this engine owns it.
@@ -1842,27 +1828,18 @@ Status Dvms::Promote() {
         "; it lagged past the pruning window — start a fresh engine on the "
         "directory instead");
   }
-  {
-    // Catch up on the sealed suffix this replica had not applied yet.
-    ReplicaApplyScope apply_scope;
-    replaying_.store(true, std::memory_order_relaxed);
-    Status st = Status::OK();
-    for (const WalFrame& frame : sealed.frames) {
-      if (frame.lsn <= applied) continue;
-      Result<WalRecord> record = DecodeWalRecord(frame.payload);
-      st = record.ok() ? ApplyWalRecord(record.value()) : record.status();
-      if (!st.ok()) {
-        replaying_.store(false, std::memory_order_relaxed);
-        return Status::ExecutionError(
-            "promote: replay of sealed lsn " + std::to_string(frame.lsn) +
-            ": " + st.message());
-      }
-      if (record.value().IsDefinition()) {
-        def_records_.push_back(frame.payload);
-      }
-      applied = frame.lsn;
+  // Catch up on the sealed suffix this replica had not applied yet.
+  for (const WalFrame& frame : sealed.frames) {
+    if (frame.lsn <= applied) continue;
+    Result<WalRecord> record = DecodeWalRecord(frame.payload);
+    Status st = record.ok() ? ApplyWalRecord(record.value()) : record.status();
+    if (!st.ok()) {
+      return Status::ExecutionError("promote: replay of sealed lsn " +
+                                    std::to_string(frame.lsn) + ": " +
+                                    st.message());
     }
-    replaying_.store(false, std::memory_order_relaxed);
+    if (record.value().IsDefinition()) def_records_.push_back(frame.payload);
+    applied = frame.lsn;
   }
   durability_ = std::move(manager);
   durability_poisoned_ = false;
@@ -1944,9 +1921,9 @@ bool Dvms::StorageWritableOrProbe() const {
 
 Status Dvms::ProbeStorage() const {
   if (storage_dir_.empty()) return Status::OK();
-  // Deliberately NOT fault-suppressed: under a FaultEnv that simulates a
-  // full disk the probe must keep failing until the test disarms it, just
-  // as a real probe keeps failing until the disk frees.
+  // Deliberately NOT internal: under a FaultEnv that simulates a full
+  // disk the probe must keep failing until the test disarms it, just as a
+  // real probe keeps failing until the disk frees.
   Env* env = env::Active();
   const std::string path = storage_dir_ + "/.space-probe";
   DVMS_ASSIGN_OR_RETURN(
@@ -1958,7 +1935,7 @@ Status Dvms::ProbeStorage() const {
   if (fd >= 0) env->Close(fd);
   {
     // Cleanup of the probe artifact, not part of the verdict.
-    FaultSuppressScope suppress;
+    InternalScope internal;
     (void)env->Unlink(path);
   }
   return st;

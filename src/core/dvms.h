@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/fault.h"
+#include "common/request_context.h"
 #include "common/thread_pool.h"
 #include "concurrency/snapshot.h"
 #include "durability/log_record.h"
@@ -454,8 +455,8 @@ class Dvms {
   Status EndMutationUnit(Status st);
 
   /// Restores tables, matcher states, stats, undo history, view caches,
-  /// and (by deterministic re-render) the framebuffer. Runs under
-  /// FaultSuppressScope so injected faults cannot cascade into recovery.
+  /// and (by deterministic re-render) the framebuffer. Runs under an
+  /// InternalScope so injected faults cannot cascade into recovery.
   void RollbackMutationUnit();
 
   /// The Execute() statement switch, sans logging (Execute() logs the
@@ -496,51 +497,12 @@ class Dvms {
 
   // ---- Resource-governance plumbing ----
 
-  /// RAII admission at the front door, constructed BEFORE taking mu_ so a
-  /// full engine sheds load instead of growing an unbounded mutex queue.
-  /// Nested entry points (Execute -> Insert, recovery replay, rollback)
-  /// skip the gate.
-  class AdmissionTicket {
-   public:
-    /// Which accounting pool the request draws from: mutations take
-    /// max_inflight slots, snapshot reads take max_readers slots.
-    enum class Gate { kWriter, kReader };
-
-    explicit AdmissionTicket(Dvms* dvms, Gate gate = Gate::kWriter);
-    ~AdmissionTicket();
-    AdmissionTicket(const AdmissionTicket&) = delete;
-    AdmissionTicket& operator=(const AdmissionTicket&) = delete;
-    /// kResourceExhausted when the request was shed; the caller returns it
-    /// without touching engine state.
-    const Status& status() const { return status_; }
-
-   private:
-    Dvms* dvms_;
-    AdmissionGate* gate_ = nullptr;
-    bool admitted_ = false;
-    Status status_;
-  };
-
-  /// RAII request governance, constructed with mu_ held just after the
-  /// lock: the outermost call on a thread arms a QueryContext (deadline /
-  /// cancel flag / memory budget) process-wide. The destructor — which
-  /// runs after EndMutationUnit's rollback but before the lock releases —
-  /// folds the context's accounting (FoldGovernorAccounting). Nested
-  /// public calls join the outer request.
-  class GovernedRequest {
-   public:
-    explicit GovernedRequest(Dvms* dvms);
-    ~GovernedRequest();
-    GovernedRequest(const GovernedRequest&) = delete;
-    GovernedRequest& operator=(const GovernedRequest&) = delete;
-
-   private:
-    Dvms* dvms_;
-    bool outermost_ = false;
-    bool armed_ = false;
-    QueryContext ctx_;
-    QueryContext* prev_ = nullptr;
-  };
+  /// Admission through the writer or reader gate (defined in dvms.cc).
+  class AdmissionTicket;
+  /// The scope every public mutating entry point opens first (defined in
+  /// dvms.cc): writability and relation-name checks, admission, mu_, the
+  /// governed request, the log depth, and the closing snapshot publish.
+  class RequestScope;
 
   /// Resolves GovernorConfig from Options + environment and builds the
   /// admission gate.
@@ -565,27 +527,6 @@ class Dvms {
   /// back unit restores every epoch, so aborts publish nothing.
   void PublishSnapshotLocked();
 
-  /// RAII publish at the close of a public mutating entry point: the
-  /// destructor runs after EndMutationUnit / LogCommitted but while mu_ is
-  /// still held, on success and error paths alike. Only the outermost
-  /// entry point publishes (nested calls see log_depth_ > 1), and replay
-  /// publishes once at the end of recovery instead of per record.
-  class SnapshotPublisher {
-   public:
-    explicit SnapshotPublisher(Dvms* dvms)
-        : dvms_(dvms),
-          active_(dvms->log_depth_ == 1 && !dvms->replaying_) {}
-    ~SnapshotPublisher() {
-      if (active_) dvms_->PublishSnapshotLocked();
-    }
-    SnapshotPublisher(const SnapshotPublisher&) = delete;
-    SnapshotPublisher& operator=(const SnapshotPublisher&) = delete;
-
-   private:
-    Dvms* dvms_;
-    bool active_;
-  };
-
   /// The engine's one read path, behind Session::Query and Dvms::Query:
   /// parse, admit through the reader gate, pin a snapshot epoch (the
   /// session-pinned epoch if set), then plan/bind/execute entirely against
@@ -597,21 +538,6 @@ class Dvms {
   ExecOptions ReadOptions() const;
 
   // ---- Durability plumbing ----
-
-  /// RAII depth marker for the public logged entry points. Public calls
-  /// nest (Execute -> Insert, LoadProgram -> Execute), and only the
-  /// outermost logged call appends a frame — the nested calls are implied
-  /// by replaying it.
-  class LogScope {
-   public:
-    explicit LogScope(Dvms* dvms) : dvms_(dvms) { ++dvms_->log_depth_; }
-    ~LogScope() { --dvms_->log_depth_; }
-    LogScope(const LogScope&) = delete;
-    LogScope& operator=(const LogScope&) = delete;
-
-   private:
-    Dvms* dvms_;
-  };
 
   /// Opens the durability directory and runs crash recovery: restore the
   /// newest valid snapshot, replay the log suffix through the normal
@@ -626,8 +552,8 @@ class Dvms {
   enum class Role { kPrimary, kReplica };
 
   /// kReadOnlyReplica unless this engine is a primary or the calling
-  /// thread is the replica's own apply path. Checked at the top of every
-  /// mutating entry point, before admission.
+  /// thread's request is internal (the replica's own apply path). Checked
+  /// at the top of every mutating entry point, before admission.
   Status CheckWritable(const char* op) const;
 
   /// Replica-mode constructor leg: bootstraps from the primary's newest
@@ -642,7 +568,7 @@ class Dvms {
   /// LSN or an apply failure is terminal for the thread.
   void TailLoop();
 
-  /// Applies one polled batch under mu_ (suppressed like recovery replay),
+  /// Applies one polled batch under mu_ (internal like recovery replay),
   /// advances replica_lsn, and publishes a fresh epoch. False on an apply
   /// failure — the replica must not skip a frame, so the tailer stops.
   bool ApplyReplicaBatch(std::vector<WalFrame> frames);
@@ -665,11 +591,12 @@ class Dvms {
   Status ApplyWalRecord(const WalRecord& record);
 
   /// True when the current call is the outermost logged entry point of a
-  /// durable, non-replaying engine — i.e. LogCommitted() would append.
-  /// Lets entry points skip building (copying) the record otherwise.
+  /// durable engine outside internal replay — i.e. LogCommitted() would
+  /// append. Lets entry points skip building (copying) the record
+  /// otherwise.
   bool ShouldLog() const {
-    return durability_ != nullptr && !durability_poisoned_ && !replaying_ &&
-           log_depth_ == 1;
+    return durability_ != nullptr && !durability_poisoned_ &&
+           !CurrentRequest().is_internal() && log_depth_ == 1;
   }
 
   /// Appends `record` to the interaction log if ShouldLog(). Entry points
@@ -796,12 +723,8 @@ class Dvms {
   /// further frames are logged (fail-stop beats silent divergence).
   bool durability_poisoned_ = false;
   Status recovery_status_;
-  /// Nesting depth of the logged public entry points (see LogScope).
+  /// Nesting depth of the logged public entry points (see RequestScope).
   size_t log_depth_ = 0;
-  /// True while recovery (or a replica batch) replays the log: replayed
-  /// calls must not re-log. Atomic because AdmissionTicket reads it before
-  /// taking mu_ while the replica's tail thread writes it under mu_.
-  std::atomic<bool> replaying_{false};
   /// Encoded definition frames, in log order — the snapshot's recipe for
   /// rebuilding compiled plans/NFAs/trace defs.
   std::vector<std::string> def_records_;

@@ -9,6 +9,7 @@
 
 #include "common/env.h"
 #include "common/fault.h"
+#include "common/request_context.h"
 #include "obs/trace.h"
 #include "durability/crc32c.h"
 
@@ -299,7 +300,7 @@ Status DurabilityManager::RotateAfterFsyncFailure() {
   // This *is* the recovery path for the failed fsync: it must not be
   // re-faulted while undoing the damage, and the crash harness's rollback
   // scopes expect the same exemption.
-  FaultSuppressScope suppress;
+  InternalScope internal;
   Env* env = env::Active();
   std::vector<WalFrame> retained = writer_->TakeUnsyncedFrames();
   const uint64_t synced = writer_->synced_offset();
@@ -403,7 +404,7 @@ Status DurabilityManager::WriteSnapshot(uint64_t last_lsn,
   env->Close(fd);
   if (st.ok()) st = env->Rename(tmp_path, final_path);
   if (!st.ok()) {
-    FaultSuppressScope suppress;  // cleanup of the failure, not new work
+    InternalScope internal;  // cleanup of the failure, not new work
     UnlinkCounted(tmp_path);
     return st;
   }

@@ -9,6 +9,7 @@
 
 #include "common/env.h"
 #include "common/fault.h"
+#include "common/request_context.h"
 #include "durability/crc32c.h"
 #include "obs/trace.h"
 
@@ -127,7 +128,7 @@ Result<std::unique_ptr<WalWriter>> WalWriter::OpenForAppend(
 WalWriter::~WalWriter() {
   if (fd_ >= 0) {
     if (pending_appends_ > 0 && mode_ != WalFsyncMode::kOff) {
-      FaultSuppressScope suppress;  // best-effort final flush
+      InternalScope internal;  // best-effort final flush
       Flush();
     }
     env::Active()->Close(fd_);
@@ -182,10 +183,10 @@ Status WalWriter::Append(uint64_t lsn, const std::string& payload) {
       return st;
     }
     // Roll the file back to the pre-append length so the caller's failure
-    // and the on-disk log agree. Runs fault-suppressed: this *is* the
-    // recovery path for an injected append fault. The truncated frame
+    // and the on-disk log agree. Runs internal (never faulted): this *is*
+    // the recovery path for an injected append fault. The truncated frame
     // must not keep counting toward the group-commit threshold.
-    FaultSuppressScope suppress;
+    InternalScope internal;
     pending_appends_ = pre_pending;
     if (!env->Ftruncate(fd_, pre_append, path_).ok() ||
         !env->Seek(fd_, pre_append, path_).ok()) {

@@ -14,16 +14,6 @@ int64_t SteadyNowMicros() {
       .count();
 }
 
-// Per-thread installed context: concurrent readers each govern their own
-// request, so the context can no longer be process-wide. Pool workers
-// inherit the submitting thread's context via ThreadPool::ParallelFor
-// (which captures Current() at submission and installs it around each
-// participant). Suppression is per-thread for the same reason: a writer's
-// rollback must not silence a concurrent reader's checks; ParallelFor
-// re-establishes the submitter's suppression on participants.
-thread_local QueryContext* t_context = nullptr;
-thread_local int t_suppress_depth = 0;
-
 // Fail-loud env parsing (same rationale as DVMS_FAULTS): a governor knob
 // that silently parses to zero would leave the process unprotected while
 // the operator believes it is governed.
@@ -110,42 +100,25 @@ void QueryContext::Release(int64_t bytes) {
 
 namespace governor {
 
-QueryContext* Current() { return t_context; }
-
-QueryContext* InstallContext(QueryContext* ctx) {
-  QueryContext* prev = t_context;
-  t_context = ctx;
-  return prev;
-}
-
-bool Suppressed() { return t_suppress_depth > 0; }
-
 Status CheckPoint() {
-  QueryContext* ctx = t_context;
-  if (ctx == nullptr) return Status::OK();
-  if (Suppressed()) return Status::OK();
-  return ctx->Check();
+  const RequestContext& request = CurrentRequest();
+  if (request.query == nullptr || request.is_internal()) return Status::OK();
+  return request.query->Check();
 }
 
 Status ChargeMemory(int64_t bytes) {
-  QueryContext* ctx = t_context;
-  if (ctx == nullptr) return Status::OK();
-  if (Suppressed()) return Status::OK();
-  return ctx->Charge(bytes);
+  const RequestContext& request = CurrentRequest();
+  if (request.query == nullptr || request.is_internal()) return Status::OK();
+  return request.query->Charge(bytes);
 }
 
 void ReleaseMemory(int64_t bytes) {
-  QueryContext* ctx = t_context;
-  if (ctx == nullptr) return;
-  if (Suppressed()) return;
-  ctx->Release(bytes);
+  const RequestContext& request = CurrentRequest();
+  if (request.query == nullptr || request.is_internal()) return;
+  request.query->Release(bytes);
 }
 
 }  // namespace governor
-
-GovernorSuppressScope::GovernorSuppressScope() { ++t_suppress_depth; }
-
-GovernorSuppressScope::~GovernorSuppressScope() { --t_suppress_depth; }
 
 Status AdmissionGate::Enter() {
   std::unique_lock<std::mutex> lock(mu_);

@@ -8,21 +8,23 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 
+#include "common/request_context.h"
 #include "common/status.h"
 
 namespace dvms {
 
 /// Per-request resource envelope: an absolute deadline on an injectable
 /// clock, a cancel flag another thread may raise, and a transient-memory
-/// budget. One QueryContext is installed per thread for the duration of a
-/// request on that thread (concurrent snapshot readers each govern their
-/// own request); work that fans out onto pool threads inherits the
-/// submitting thread's context through ThreadPool::ParallelFor and reads
-/// it through governor::CheckPoint() / ChargeMemory().
+/// budget. A request installs its QueryContext in the calling thread's
+/// RequestContext (concurrent snapshot readers each govern their own
+/// request); work that fans out onto pool threads carries the submitter's
+/// RequestContext through ThreadPool::ParallelFor and reads the envelope
+/// through governor::CheckPoint() / ChargeMemory().
 ///
-/// All hot-path members are relaxed atomics: a check is one atomic load of
-/// the installed-context pointer (nullptr when unarmed) plus, when armed,
+/// All hot-path members are relaxed atomics: a check is one thread-local
+/// load of the installed pointer (nullptr when unarmed) plus, when armed,
 /// a cancel-flag load and a clock read.
 class QueryContext {
  public:
@@ -86,58 +88,31 @@ class QueryContext {
 
 namespace governor {
 
-/// The context governing this thread's in-flight request, or nullptr when
-/// unarmed. Thread-local so concurrent snapshot readers and the serialized
-/// writer each observe their own envelope; ThreadPool::ParallelFor
-/// propagates the submitter's context onto pool workers.
-QueryContext* Current();
-
-/// Installs `ctx` on the calling thread (nullptr disarms). Returns the
-/// previous context so scopes nest.
-QueryContext* InstallContext(QueryContext* ctx);
-
-/// Null-safe, suppression-aware cooperative check: one relaxed load when
-/// no context is installed. This is the call sites thread through inner
-/// loops.
+/// Null-safe cooperative check against the calling thread's installed
+/// QueryContext: one thread-local load when none is installed, skipped
+/// inside an InternalScope (the code undoing an aborted request must not
+/// itself be aborted). This is the call sites thread through inner loops.
 Status CheckPoint();
 
 /// Null-safe memory accounting against the installed context. Unarmed or
-/// suppressed charges are free.
+/// internal charges are free.
 Status ChargeMemory(int64_t bytes);
 void ReleaseMemory(int64_t bytes);
 
-/// True while a GovernorSuppressScope is alive on the calling thread.
-/// ThreadPool captures this at submission and re-establishes it on each
-/// participant, alongside the submitter's context.
-bool Suppressed();
-
 }  // namespace governor
 
-/// RAII: installs a QueryContext for the lifetime of a request.
+/// RAII: installs a QueryContext in the calling thread's RequestContext for
+/// the lifetime of a request and restores the previous one.
 class GovernorRequestScope {
  public:
   explicit GovernorRequestScope(QueryContext* ctx)
-      : prev_(governor::InstallContext(ctx)) {}
-  ~GovernorRequestScope() { governor::InstallContext(prev_); }
+      : prev_(std::exchange(CurrentRequest().query, ctx)) {}
+  ~GovernorRequestScope() { CurrentRequest().query = prev_; }
   GovernorRequestScope(const GovernorRequestScope&) = delete;
   GovernorRequestScope& operator=(const GovernorRequestScope&) = delete;
 
  private:
   QueryContext* prev_;
-};
-
-/// RAII: suppresses governor checks and charges on the owning thread while
-/// alive. Rollback, recovery replay, replica batch apply, and destructor
-/// flushes run under this — the code undoing an aborted request must not
-/// itself be aborted. Thread-local, like FaultSuppressScope, so a writer's
-/// rollback never suppresses a concurrent reader's deadline/budget checks;
-/// pool participants inherit the submitter's suppression.
-class GovernorSuppressScope {
- public:
-  GovernorSuppressScope();
-  ~GovernorSuppressScope();
-  GovernorSuppressScope(const GovernorSuppressScope&) = delete;
-  GovernorSuppressScope& operator=(const GovernorSuppressScope&) = delete;
 };
 
 /// Bounded in-flight admission: at most `max_inflight` requests execute at

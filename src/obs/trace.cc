@@ -10,17 +10,15 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <utility>
+
+#include "common/request_context.h"
 
 namespace dvms {
 namespace obs {
 namespace {
 
 std::atomic<bool> g_enabled{false};
-thread_local bool t_suppressed = false;
-
-// Innermost live span on this thread; 0 == root. The RAII chain itself is
-// the stack: constructors push, destructors pop in LIFO order.
-thread_local uint64_t t_current_span = 0;
 
 // Small dense per-thread ids for SpanRow::thread (stable across the
 // process, unlike recycled OS tids).
@@ -98,9 +96,7 @@ struct Registry {
 
 }  // namespace
 
-bool Enabled() {
-  return g_enabled.load(std::memory_order_relaxed) && !t_suppressed;
-}
+bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
 void SetEnabled(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
 
@@ -114,9 +110,6 @@ bool InitFromEnv() {
   }
   return g_enabled.load(std::memory_order_relaxed);
 }
-
-SuppressScope::SuppressScope() : prev_(t_suppressed) { t_suppressed = true; }
-SuppressScope::~SuppressScope() { t_suppressed = prev_; }
 
 void Count(const char* name, uint64_t delta) {
   if (!Enabled()) return;
@@ -143,14 +136,15 @@ Span::Span(const char* name) {
   if (!Enabled()) return;  // inert: name_ stays nullptr
   name_ = name;
   id_ = Registry::Get().next_span_id.fetch_add(1, std::memory_order_relaxed);
-  parent_ = t_current_span;
-  t_current_span = id_;
+  // The request's innermost live span is the parent. The RAII chain is
+  // the stack: constructors push, destructors pop in LIFO order.
+  parent_ = std::exchange(CurrentRequest().span, id_);
   start_us_ = NowMicros();
 }
 
 Span::~Span() {
   if (name_ == nullptr) return;
-  t_current_span = parent_;
+  CurrentRequest().span = parent_;
   int64_t end_us = NowMicros();
   Registry& r = Registry::Get();
   std::lock_guard<std::mutex> lock(r.mu);

@@ -5,9 +5,8 @@
 ///
 /// Design goals, in priority order:
 ///   1. Near-zero cost when disabled: every instrumentation site guards on
-///      `obs::Enabled()`, a single relaxed atomic load plus a thread-local
-///      flag check. No locks, no allocation, no clock reads on the
-///      disabled path.
+///      `obs::Enabled()`, a single relaxed atomic load. No locks, no
+///      allocation, no clock reads on the disabled path.
 ///   2. Queryable from DeVIL itself: each read that names the system
 ///      relations `dvms_metrics` / `dvms_spans` builds them from a registry
 ///      snapshot (see SystemRelationRegistry in concurrency/snapshot.h),
@@ -15,8 +14,12 @@
 ///   3. Rollback-consistent: a mutation unit that rolls back must not leak
 ///      counters or spans into `dvms_metrics` (mirrors how UnitState
 ///      restores `Stats`). `Save()` / `Restore()` capture and rewind the
-///      whole registry; `SuppressScope` silences recording during rollback
-///      re-renders.
+///      whole registry, so the rollback re-render's own recording is
+///      dropped with the failed unit's.
+///
+/// Span parents follow the calling thread's RequestContext (its innermost
+/// open span), which ThreadPool carries onto pool workers, so a span opened
+/// in a morsel is a child of the span that submitted the ParallelFor.
 ///
 /// Only standard-library dependencies on purpose: common/thread_pool.cc,
 /// events/nfa.cc and durability/wal.cc all include this header.
@@ -31,9 +34,8 @@ namespace obs {
 
 /// ---- enablement -------------------------------------------------------
 
-/// True when tracing is on for this process AND not suppressed on this
-/// thread. The hot-path guard: one relaxed atomic load + one thread-local
-/// read.
+/// True when tracing is on for this process. The hot-path guard: one
+/// relaxed atomic load.
 bool Enabled();
 
 /// Turns process-wide tracing on/off (Dvms::Options::trace and the
@@ -43,19 +45,6 @@ void SetEnabled(bool on);
 /// Reads DVMS_TRACE ("1"/"true"/"on", case-insensitive) once and enables
 /// tracing if set. Returns the resulting process-wide state.
 bool InitFromEnv();
-
-/// Silences all recording on the current thread for its lifetime (used
-/// around rollback re-renders so compensating work is not observed).
-class SuppressScope {
- public:
-  SuppressScope();
-  ~SuppressScope();
-  SuppressScope(const SuppressScope&) = delete;
-  SuppressScope& operator=(const SuppressScope&) = delete;
-
- private:
-  bool prev_;
-};
 
 /// ---- recording --------------------------------------------------------
 
@@ -72,9 +61,10 @@ void Observe(const char* name, double value);
 int64_t NowMicros();
 
 /// RAII span: records {id, parent, name, thread, start_us, dur_us} into a
-/// bounded ring buffer on destruction. Nesting is tracked per thread via a
-/// thread-local parent stack. When tracing is disabled at construction the
-/// span is inert (no clock read, nothing recorded at destruction).
+/// bounded ring buffer on destruction. The parent is the innermost span
+/// open on the calling thread's RequestContext. When tracing is disabled at
+/// construction the span is inert (no clock read, nothing recorded at
+/// destruction).
 class Span {
  public:
   explicit Span(const char* name);

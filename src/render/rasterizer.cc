@@ -334,7 +334,7 @@ Status RenderMarks(const Table& marks, MarkType type, PixelBuffer* out,
     obs::Count("raster.bands");
     // Serial path: the whole frame is one band for fault purposes. A fired
     // fault (or expired deadline) leaves the frame partially drawn — the
-    // caller's rollback restores it by re-rendering under suppression.
+    // caller's rollback restores it by re-rendering as internal work.
     DVMS_RETURN_IF_ERROR(fault::MaybeInject(FaultSite::kRasterBand));
     DVMS_RETURN_IF_ERROR(governor::CheckPoint());
     ReplayOps(ops, FullTarget{out});

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "common/fault.h"
-#include "common/thread_pool.h"
+#include "common/request_context.h"
 #include "core/dvms.h"
 #include "parser/parser.h"
 #include "gtest/gtest.h"
@@ -112,7 +112,7 @@ TEST(FaultInjectorTest, SuppressionScopeMasksInjection) {
   ScopedFaultInjector scoped(config);
   EXPECT_FALSE(fault::MaybeInject(FaultSite::kStorageAppend).ok());
   {
-    FaultSuppressScope suppress;
+    InternalScope internal;
     EXPECT_TRUE(fault::MaybeInject(FaultSite::kStorageAppend).ok());
     EXPECT_FALSE(fault::ShouldInject(FaultSite::kIvmApply));
   }
@@ -126,41 +126,18 @@ TEST(FaultInjectorTest, SuppressionIsThreadLocal) {
   config.seed = 5;
   config.rate = 1.0;
   ScopedFaultInjector scoped(config);
-  FaultSuppressScope suppress;
-  EXPECT_TRUE(fault::Suppressed());
+  InternalScope internal;
+  EXPECT_TRUE(CurrentRequest().is_internal());
   EXPECT_TRUE(fault::MaybeInject(FaultSite::kStorageAppend).ok());
   bool other_suppressed = true;
   bool other_injected = false;
   std::thread peer([&] {
-    other_suppressed = fault::Suppressed();
+    other_suppressed = CurrentRequest().is_internal();
     other_injected = fault::ShouldInject(FaultSite::kStorageAppend);
   });
   peer.join();
   EXPECT_FALSE(other_suppressed) << "suppression leaked across threads";
   EXPECT_TRUE(other_injected);
-}
-
-TEST(FaultInjectorTest, ParallelForInheritsSubmitterSuppression) {
-  // Work fanned onto pool threads runs on behalf of the submitter: if the
-  // submitter is suppressed (recovery, rollback, replica apply), its
-  // morsels must be too — and only for that ParallelFor, not permanently.
-  FaultConfig config;
-  config.seed = 5;
-  config.rate = 1.0;
-  ScopedFaultInjector scoped(config);
-  ThreadPool pool(4);
-  std::atomic<int> injected{0};
-  {
-    FaultSuppressScope suppress;
-    pool.ParallelFor(64, 1, 0, [&](const MorselRange&) {
-      injected += fault::ShouldInject(FaultSite::kThreadPoolTask) ? 1 : 0;
-    });
-  }
-  EXPECT_EQ(injected.load(), 0) << "pool threads ignored the submitter";
-  pool.ParallelFor(64, 1, 0, [&](const MorselRange&) {
-    injected += fault::ShouldInject(FaultSite::kThreadPoolTask) ? 1 : 0;
-  });
-  EXPECT_GT(injected.load(), 0) << "suppression stuck to the pool threads";
 }
 
 TEST(FaultInjectorTest, MaybeInjectTagsSiteInMessage) {

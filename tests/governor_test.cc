@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/request_context.h"
 #include "core/dvms.h"
 #include "governor/governor.h"
 #include "parser/parser.h"
@@ -94,7 +95,7 @@ TEST(QueryContextTest, UnarmedContextNeverAborts) {
 // ---------------------------------------------------------------------------
 
 TEST(GovernorPlumbingTest, UncontextedCheckpointIsFree) {
-  ASSERT_EQ(governor::Current(), nullptr);
+  ASSERT_EQ(CurrentRequest().query, nullptr);
   EXPECT_TRUE(governor::CheckPoint().ok());
   EXPECT_TRUE(governor::ChargeMemory(1 << 30).ok());
 }
@@ -105,21 +106,27 @@ TEST(GovernorPlumbingTest, SuppressScopeMasksInstalledContext) {
   ctx.ShareCancelFlag(flag);
   GovernorRequestScope scope(&ctx);
   {
-    GovernorSuppressScope suppress;
-    EXPECT_TRUE(governor::Suppressed());
+    InternalScope internal;
+    EXPECT_TRUE(CurrentRequest().is_internal());
     EXPECT_TRUE(governor::CheckPoint().ok());
   }
-  EXPECT_FALSE(governor::Suppressed());
+  EXPECT_FALSE(CurrentRequest().is_internal());
   EXPECT_EQ(governor::CheckPoint().code(), StatusCode::kCancelled);
 }
 
 TEST(GovernorPlumbingTest, SuppressionIsThreadLocal) {
-  // One request's suppression (rollback, replica apply) must never blind
+  // One request's internal work (rollback, replica apply) must never blind
   // the governor on a concurrently executing request's thread.
-  GovernorSuppressScope suppress;
-  ASSERT_TRUE(governor::Suppressed());
+  QueryContext ctx;
+  auto flag = std::make_shared<std::atomic<bool>>(true);  // pre-cancelled
+  ctx.ShareCancelFlag(flag);
+  InternalScope internal;
+  ASSERT_TRUE(CurrentRequest().is_internal());
   bool other_suppressed = true;
-  std::thread peer([&] { other_suppressed = governor::Suppressed(); });
+  std::thread peer([&] {
+    GovernorRequestScope scope(&ctx);
+    other_suppressed = governor::CheckPoint().ok();
+  });
   peer.join();
   EXPECT_FALSE(other_suppressed) << "suppression leaked across threads";
 }

@@ -101,19 +101,6 @@ TEST_F(ObsRegistryTest, DisabledRecordsNothing) {
   EXPECT_TRUE(obs::SnapshotSpans().empty());
 }
 
-TEST_F(ObsRegistryTest, SuppressScopeSilencesThread) {
-  {
-    obs::SuppressScope quiet;
-    EXPECT_FALSE(obs::Enabled());
-    obs::Count("a");
-  }
-  EXPECT_TRUE(obs::Enabled());
-  obs::Count("b");
-  auto rows = obs::SnapshotMetrics();
-  EXPECT_EQ(FindMetric(rows, "a"), nullptr);
-  EXPECT_NE(FindMetric(rows, "b"), nullptr);
-}
-
 TEST_F(ObsRegistryTest, SpansNestWithParentIds) {
   {
     obs::Span outer("outer");

@@ -12,10 +12,13 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -290,6 +293,13 @@ TEST(ReplicationTest, ReplicationFaultsRaiseLagNeverCrash) {
           primary.Insert("Sales", {{Value::Int(1000 + i), Value::Double(i)}})
               .ok());
     }
+    // The inserts can all finish before the tail thread polls under the
+    // injector: keep it installed until a poll has been faulted (or 5 s).
+    for (int i = 0; i < 5000 &&
+                    faults.injector()->injections(FaultSite::kReplication) == 0;
+         ++i) {
+      usleep(1000);
+    }
     EXPECT_GT(faults.injector()->injections(FaultSite::kReplication), 0u);
   }
 
@@ -301,6 +311,85 @@ TEST(ReplicationTest, ReplicationFaultsRaiseLagNeverCrash) {
   EXPECT_GT(stats.poll_errors, 0u) << "faults never hit the tail loop";
   EXPECT_FALSE(stats.stale);
   EXPECT_EQ(stats.lag_frames, 0u);
+}
+
+/// A pass-through `hold(x)` UDF that, once armed, parks the calling thread
+/// until released — here the replica's tail thread, mid-apply.
+struct HoldLatch {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool armed = false;
+  bool entered = false;
+  bool released = false;
+
+  void Arm() {
+    std::lock_guard<std::mutex> lock(mu);
+    armed = true;
+  }
+  bool AwaitEntered() {
+    std::unique_lock<std::mutex> lock(mu);
+    return cv.wait_for(lock, std::chrono::seconds(20),
+                       [this] { return entered; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu);
+    released = true;
+    cv.notify_all();
+  }
+};
+
+ScalarUdf HoldUdf(std::shared_ptr<HoldLatch> latch) {
+  ScalarUdf udf;
+  udf.name = "hold";
+  udf.arity = 1;
+  udf.pure = true;
+  udf.return_type = ValueType::kDouble;
+  udf.fn = [latch](const std::vector<Value>& args) -> Result<Value> {
+    if (latch != nullptr) {
+      std::unique_lock<std::mutex> lock(latch->mu);
+      if (latch->armed && !latch->released) {
+        latch->entered = true;
+        latch->cv.notify_all();
+        latch->cv.wait(lock, [&latch] { return latch->released; });
+      }
+    }
+    return args[0];
+  };
+  return udf;
+}
+
+TEST(ReplicationTest, ReplicaReadDuringApplyTakesReaderSlot) {
+  // The tail thread's batch apply is internal work for that thread alone:
+  // a read issued on another thread mid-apply still passes the reader gate.
+  TempDir dir("apply_admission");
+  Dvms primary(PrimaryOptions(dir.str()));
+  ASSERT_TRUE(primary.udfs()->RegisterScalar(HoldUdf(nullptr)).ok());
+  ASSERT_TRUE(SeedPrimary(primary).ok());
+  Dvms replica(ReplicaOptions(dir.str()));
+  AwaitCaughtUp(primary, replica);
+  auto latch = std::make_shared<HoldLatch>();
+  ASSERT_TRUE(replica.udfs()->RegisterScalar(HoldUdf(latch)).ok());
+  // Taking mu_ orders the registration before the tail thread's next apply.
+  ASSERT_TRUE(replica.recovery_status().ok());
+  // Declared after the replica: a failed assertion still frees the tail
+  // thread before the replica joins it.
+  struct ReleaseOnExit {
+    HoldLatch* latch;
+    ~ReleaseOnExit() { latch->Release(); }
+  } release_on_exit{latch.get()};
+  ASSERT_TRUE(primary.LoadProgram("V = SELECT hold(v) AS y FROM Sales;").ok());
+  AwaitCaughtUp(primary, replica);
+
+  latch->Arm();
+  ASSERT_TRUE(
+      primary.Insert("Sales", {{Value::Int(500), Value::Double(5)}}).ok());
+  ASSERT_TRUE(latch->AwaitEntered()) << "the tail thread never reached hold()";
+  const int64_t admitted = replica.governor_stats().readers_admitted;
+  ASSERT_TRUE(replica.Query(kReadSql).ok());
+  EXPECT_EQ(replica.governor_stats().readers_admitted, admitted + 1)
+      << "a read during a replica apply skipped the reader gate";
+  latch->Release();
+  AwaitCaughtUp(primary, replica);
 }
 
 TEST(ReplicationTest, SustainedFaultsDegradeToStaleThenRecover) {
